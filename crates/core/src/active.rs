@@ -14,14 +14,16 @@
 //! ([`run_with_checkpoints`]) and resumed after a crash ([`resume`]) with
 //! bit-identical results; see [`crate::checkpoint`].
 //!
-//! The loop is also exposed one iteration at a time: [`bootstrap`] runs the
-//! cold start and returns the iteration-0 checkpoint, and [`step_once`]
-//! advances any checkpoint by exactly one iteration, returning the next
-//! checkpoint in a [`StepOutcome`]. Because the from-scratch model is a pure
-//! function of (training set, iteration-derived seed), a chain of
-//! `step_once` calls is bit-identical to the continuous loop — this is the
-//! substrate `pwu-serve` hosts sessions on, and what makes killing a session
-//! between steps free of state loss.
+//! The loop is also exposed one iteration at a time. A [`LiveLoop`] is the
+//! run in flight: built by its cold start or restored from a checkpoint, it
+//! advances one iteration per [`LiveLoop::step`] and captures itself with
+//! [`LiveLoop::checkpoint`]; `pwu-serve` keeps one per resident session.
+//! [`bootstrap`] runs the cold start and returns the iteration-0
+//! checkpoint, and [`step_once`] (restore, then one step) advances any
+//! checkpoint by exactly one iteration. Because the from-scratch model is a
+//! pure function of (training set, iteration-derived seed), a live chain, a
+//! chain of `step_once` calls and the continuous loop are bit-identical —
+//! which is what makes killing a session between steps free of state loss.
 
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{
@@ -169,10 +171,13 @@ pub struct ActiveRun {
 }
 
 /// In-flight state of one run: everything the iteration loop mutates, which
-/// is also exactly what a checkpoint must capture.
-struct LoopState<'a> {
+/// is also exactly what a checkpoint must capture. It owns all of it and
+/// borrows nothing: the annotator is kept as its resumable position and
+/// rebuilt around the target for each batch.
+#[derive(Debug)]
+struct LoopState {
     schema: FeatureSchema,
-    annotator: Annotator<'a>,
+    annotator: AnnotatorPosition,
     select_rng: Xoshiro256PlusPlus,
     pool_rng: Xoshiro256PlusPlus,
     forest_seed: u64,
@@ -188,6 +193,228 @@ struct LoopState<'a> {
     /// [`RefitMode::Partial`]; never checkpointed — a resumed run rebuilds
     /// it on first use. Its fold is bit-identical to `predict_batch`.
     scores: Option<PoolScoreCache>,
+}
+
+impl LoopState {
+    /// Annotation cost so far: labeled measurement time plus time wasted on
+    /// failed attempts.
+    fn cost(&self) -> f64 {
+        self.train.cumulative_cost() + self.annotator.stats.wasted_cost
+    }
+}
+
+/// An annotator's resumable position: RNG stream, annotations attempted and
+/// the measurement tally (the three things a checkpoint records of it).
+#[derive(Debug, Clone, Copy)]
+struct AnnotatorPosition {
+    rng: [u64; 4],
+    evaluations: usize,
+    stats: MeasurementStats,
+}
+
+impl AnnotatorPosition {
+    fn of(annotator: &Annotator<'_>) -> Self {
+        Self {
+            rng: annotator.rng_state(),
+            evaluations: annotator.evaluations(),
+            stats: *annotator.stats(),
+        }
+    }
+
+    /// An annotator on `target` that continues from this position.
+    fn annotator<'t>(&self, target: &'t dyn TuningTarget, config: &ActiveConfig) -> Annotator<'t> {
+        let mut annotator = Annotator::new(target, config.repeats, 0)
+            .with_aggregator(config.aggregator)
+            .with_retry_policy(config.retry);
+        annotator.restore_state(self.rng, self.evaluations, self.stats);
+        annotator
+    }
+}
+
+/// A run in flight: the live handle on Algorithm 1's loop state (model,
+/// encoded pool, training set, RNG streams, history).
+///
+/// [`LiveLoop::bootstrap`] runs the cold start and [`LiveLoop::restore`]
+/// rebuilds the state a checkpoint captured, refitting the model once.
+/// [`LiveLoop::step`] advances one iteration and [`LiveLoop::checkpoint`]
+/// captures the state. [`run`], [`resume`], [`step_once`] and `pwu-serve`'s
+/// resident sessions all iterate through this handle, so a live chain is
+/// bit-identical to a `step_once` chain and to the continuous loop.
+///
+/// The handle owns everything it mutates and borrows nothing. The target
+/// and the test set are passed to each call and must be the ones the run
+/// was built with, so a host can keep the handle next to the target it
+/// tunes.
+#[derive(Debug)]
+pub struct LiveLoop {
+    config: ActiveConfig,
+    target_name: String,
+    state: LoopState,
+}
+
+impl LiveLoop {
+    /// Runs Algorithm 1's cold start (lines 1–4): validates the inputs,
+    /// removes illegal pool points, annotates the initial sample and fits
+    /// the initial model.
+    ///
+    /// # Panics
+    /// As [`run`].
+    #[must_use]
+    pub fn bootstrap(
+        target: &dyn TuningTarget,
+        config: &ActiveConfig,
+        pool: Pool,
+        test_features: &FeatureMatrix,
+        test_labels: &[f64],
+        seed: u64,
+    ) -> Self {
+        Self {
+            config: config.clone(),
+            target_name: target.name().to_string(),
+            state: init_state(target, config, pool, test_features, test_labels, seed),
+        }
+    }
+
+    /// Rebuilds the run a checkpoint captured: re-encodes the training set
+    /// and the remaining pool, restores all three RNG streams and refits the
+    /// model exactly as the checkpointing run last did. This is the recovery
+    /// path, and the one place a checkpoint turns back into live state.
+    ///
+    /// Only [`RefitMode::FromScratch`] runs can be restored: the
+    /// from-scratch model is a pure function of the training set and the
+    /// iteration-derived seed, so it is refit instead of serialized.
+    ///
+    /// # Errors
+    /// Returns [`CheckpointError::Mismatch`] if the checkpoint belongs to a
+    /// different target or configuration, or if `config.refit` is not
+    /// [`RefitMode::FromScratch`].
+    pub fn restore(
+        target: &dyn TuningTarget,
+        config: &ActiveConfig,
+        checkpoint: &ActiveCheckpoint,
+    ) -> Result<Self, CheckpointError> {
+        check_resume_compat(target, config, checkpoint)?;
+        let _span = pwu_obs::span(
+            "core.restore",
+            [
+                ("iter", pwu_obs::Arg::u(checkpoint.iteration)),
+                ("train", pwu_obs::Arg::u(checkpoint.train_configs.len() as u64)),
+                ("pool", pwu_obs::Arg::u(checkpoint.pool_configs.len() as u64)),
+            ],
+        );
+        Ok(Self {
+            config: config.clone(),
+            target_name: target.name().to_string(),
+            state: state_from_checkpoint(target, config, checkpoint),
+        })
+    }
+
+    /// Approximate heap bytes the live state holds: the encoded pool and
+    /// training set with their configurations, and the fitted model.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        // Every configuration of a space has the same width.
+        let configs = |cfgs: &[Configuration]| {
+            let width = cfgs.first().map_or(0, Configuration::len);
+            cfgs.len() * (std::mem::size_of::<Configuration>() + 4 * width)
+        };
+        let s = &self.state;
+        configs(s.pool.configs())
+            + s.pool.features().approx_bytes()
+            + configs(s.train.configs())
+            + s.train.features().approx_bytes()
+            + 8 * s.train.len()
+            + configs(&s.quarantined)
+            + s.model.approx_bytes()
+    }
+
+    /// Whether the run has reached `n_max` (or drained its pool).
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.state.train.len() >= self.config.n_max || self.state.pool.is_empty()
+    }
+
+    /// Runs one iteration (one batch with quarantine top-up, one refit, one
+    /// test-set evaluation if due) and returns its annotation cost in cost
+    /// units: labeled measurement time plus time wasted on failed attempts.
+    /// Stepping a finished run does nothing and costs 0.
+    ///
+    /// # Panics
+    /// Panics where annotation itself panics (e.g. a NaN reading from a
+    /// broken target). The handle is then partway through an iteration and
+    /// must be dropped; rebuild it from the last checkpoint.
+    pub fn step(
+        &mut self,
+        target: &dyn TuningTarget,
+        strategy: Strategy,
+        test_features: &FeatureMatrix,
+        test_labels: &[f64],
+    ) -> f64 {
+        debug_assert_eq!(target.name(), self.target_name, "a live loop steps its own target");
+        if self.is_done() {
+            return 0.0;
+        }
+        let before = self.state.cost();
+        one_iteration(
+            target,
+            strategy,
+            &self.config,
+            &mut self.state,
+            test_features,
+            test_labels,
+        );
+        self.state.cost() - before
+    }
+
+    /// Captures the loop state as a serializable checkpoint.
+    #[must_use]
+    pub fn checkpoint(&self) -> ActiveCheckpoint {
+        let state = &self.state;
+        let levels_of = |cfgs: &[Configuration]| -> Vec<Vec<u32>> {
+            cfgs.iter().map(|c| c.levels().to_vec()).collect()
+        };
+        pwu_obs::event(
+            "core.checkpoint",
+            [("iter", pwu_obs::Arg::u(state.iteration))],
+        );
+        ActiveCheckpoint {
+            target_name: self.target_name.clone(),
+            iteration: state.iteration,
+            forest_seed: state.forest_seed,
+            n_init: self.config.n_init,
+            n_batch: self.config.n_batch,
+            n_max: self.config.n_max,
+            repeats: self.config.repeats,
+            fit_mode: self.config.forest.fit_mode,
+            alphas: self.config.alphas.clone(),
+            annotator_rng: state.annotator.rng,
+            annotator_evaluations: state.annotator.evaluations,
+            stats: state.annotator.stats,
+            select_rng: state.select_rng.state(),
+            pool_rng: state.pool_rng.state(),
+            lint: state.lint,
+            train_configs: levels_of(state.train.configs()),
+            train_labels: state.train.labels().to_vec(),
+            pool_configs: levels_of(state.pool.configs()),
+            quarantined: levels_of(&state.quarantined),
+            history: state.history.clone(),
+            selections: state.selections.clone(),
+        }
+    }
+
+    /// The finished run's result.
+    fn into_run(self) -> ActiveRun {
+        let state = self.state;
+        ActiveRun {
+            train: state.train,
+            history: state.history,
+            selections: state.selections,
+            model: state.model,
+            lint: state.lint,
+            measurement: state.annotator.stats,
+            quarantined: state.quarantined,
+        }
+    }
 }
 
 /// Runs Algorithm 1.
@@ -214,16 +441,8 @@ pub fn run(
     test_labels: &[f64],
     seed: u64,
 ) -> ActiveRun {
-    let state = init_state(target, config, pool, test_features, test_labels, seed);
-    match drive(
-        target,
-        strategy,
-        config,
-        state,
-        test_features,
-        test_labels,
-        None,
-    ) {
+    let live = LiveLoop::bootstrap(target, config, pool, test_features, test_labels, seed);
+    match drive(target, strategy, live, test_features, test_labels, None) {
         Ok(run) => run,
         // Without a checkpoint policy the loop performs no I/O.
         Err(e) => unreachable!("checkpoint-free run cannot fail: {e}"),
@@ -250,25 +469,16 @@ pub fn run_with_checkpoints(
     seed: u64,
     policy: &CheckpointPolicy,
 ) -> Result<ActiveRun, CheckpointError> {
-    let state = init_state(target, config, pool, test_features, test_labels, seed);
-    drive(
-        target,
-        strategy,
-        config,
-        state,
-        test_features,
-        test_labels,
-        Some(policy),
-    )
+    let live = LiveLoop::bootstrap(target, config, pool, test_features, test_labels, seed);
+    drive(target, strategy, live, test_features, test_labels, Some(policy))
 }
 
 /// Resumes a run from a checkpoint, continuing bit-identically to the run
 /// that saved it.
 ///
-/// Only [`RefitMode::FromScratch`] runs can resume: the from-scratch model
-/// is a pure function of the training set and the iteration-derived seed,
-/// so it is reconstructed instead of serialized. Pass a `policy` to keep
-/// checkpointing as the resumed run progresses.
+/// Only [`RefitMode::FromScratch`] runs can resume (see
+/// [`LiveLoop::restore`]). Pass a `policy` to keep checkpointing as the
+/// resumed run progresses.
 ///
 /// # Errors
 /// Returns [`CheckpointError::Mismatch`] if the checkpoint belongs to a
@@ -283,17 +493,8 @@ pub fn resume(
     test_labels: &[f64],
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ActiveRun, CheckpointError> {
-    check_resume_compat(target, config, checkpoint)?;
-    let state = state_from_checkpoint(target, config, checkpoint);
-    drive(
-        target,
-        strategy,
-        config,
-        state,
-        test_features,
-        test_labels,
-        policy,
-    )
+    let live = LiveLoop::restore(target, config, checkpoint)?;
+    drive(target, strategy, live, test_features, test_labels, policy)
 }
 
 /// Verifies that `checkpoint` belongs to this target/configuration and that
@@ -355,15 +556,14 @@ fn check_resume_compat(
     Ok(())
 }
 
-/// Rebuilds the in-flight loop state a checkpoint captured: re-encode the
-/// training set, restore all three RNG streams and refit the model exactly
-/// as the checkpointing run last did. Callers must have passed
-/// `check_resume_compat` first.
-fn state_from_checkpoint<'a>(
-    target: &'a dyn TuningTarget,
+/// Rebuilds the in-flight loop state a checkpoint captured (see
+/// [`LiveLoop::restore`]). Callers must have passed `check_resume_compat`
+/// first.
+fn state_from_checkpoint(
+    target: &dyn TuningTarget,
     config: &ActiveConfig,
     checkpoint: &ActiveCheckpoint,
-) -> LoopState<'a> {
+) -> LoopState {
     let space = target.space();
     let schema = FeatureSchema::for_space(space);
     let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
@@ -373,14 +573,6 @@ fn state_from_checkpoint<'a>(
     let train_features = schema.encode_matrix(space, &train_cfgs);
     let train = LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels.clone());
     let pool = Pool::new(space, &schema, to_cfgs(&checkpoint.pool_configs));
-    let mut annotator = Annotator::new(target, config.repeats, 0)
-        .with_aggregator(config.aggregator)
-        .with_retry_policy(config.retry);
-    annotator.restore_state(
-        checkpoint.annotator_rng,
-        checkpoint.annotator_evaluations,
-        checkpoint.stats,
-    );
     // The from-scratch model is a pure function of (train, iteration seed):
     // refit it exactly as the checkpointing run last did.
     let model = RandomForest::fit(
@@ -392,7 +584,11 @@ fn state_from_checkpoint<'a>(
     );
     LoopState {
         schema,
-        annotator,
+        annotator: AnnotatorPosition {
+            rng: checkpoint.annotator_rng,
+            evaluations: checkpoint.annotator_evaluations,
+            stats: checkpoint.stats,
+        },
         select_rng: Xoshiro256PlusPlus::from_state(checkpoint.select_rng),
         pool_rng: Xoshiro256PlusPlus::from_state(checkpoint.pool_rng),
         forest_seed: checkpoint.forest_seed,
@@ -440,13 +636,17 @@ pub fn bootstrap(
     test_labels: &[f64],
     seed: u64,
 ) -> ActiveCheckpoint {
-    let state = init_state(target, config, pool, test_features, test_labels, seed);
-    make_checkpoint(&state, target, config)
+    LiveLoop::bootstrap(target, config, pool, test_features, test_labels, seed).checkpoint()
 }
 
-/// Advances a checkpointed run by exactly one iteration (one batch with
-/// quarantine top-up, one refit, one test-set evaluation if due) and
-/// returns the next checkpoint.
+/// Advances a checkpointed run by exactly one iteration and returns the
+/// next checkpoint: [`LiveLoop::restore`], then one [`LiveLoop::step`].
+///
+/// This is the recovery path, and the reference a live chain is checked
+/// against. It pays a restore per call (re-encoding the pool and refitting
+/// the model the checkpoint implies), so a host that steps the same run
+/// repeatedly keeps a [`LiveLoop`] instead and restores only after losing
+/// it.
 ///
 /// The step is *pure with respect to the checkpoint*: the input is not
 /// mutated, so a caller that aborts (watchdog, crash, load shedding) simply
@@ -470,38 +670,32 @@ pub fn step_once(
     test_features: &FeatureMatrix,
     test_labels: &[f64],
 ) -> Result<StepOutcome, CheckpointError> {
-    check_resume_compat(target, config, checkpoint)?;
-    let mut state = state_from_checkpoint(target, config, checkpoint);
-    if state.train.len() >= config.n_max || state.pool.is_empty() {
+    let mut live = LiveLoop::restore(target, config, checkpoint)?;
+    if live.is_done() {
         return Ok(StepOutcome {
             checkpoint: checkpoint.clone(),
             done: true,
             step_cost: 0.0,
         });
     }
-    let cost = |state: &LoopState<'_>| {
-        state.train.cumulative_cost() + state.annotator.stats().wasted_cost
-    };
-    let before = cost(&state);
-    let done = one_iteration(strategy, config, &mut state, test_features, test_labels);
-    let step_cost = cost(&state) - before;
+    let step_cost = live.step(target, strategy, test_features, test_labels);
     Ok(StepOutcome {
-        checkpoint: make_checkpoint(&state, target, config),
-        done,
+        checkpoint: live.checkpoint(),
+        done: live.is_done(),
         step_cost,
     })
 }
 
 /// Validates inputs, removes illegal pool points, runs the cold start and
 /// fits the initial model — everything up to Algorithm 1's iteration phase.
-fn init_state<'a>(
-    target: &'a dyn TuningTarget,
+fn init_state(
+    target: &dyn TuningTarget,
     config: &ActiveConfig,
     mut pool: Pool,
     test_features: &FeatureMatrix,
     test_labels: &[f64],
     seed: u64,
-) -> LoopState<'a> {
+) -> LoopState {
     config.validate();
     let lint = PoolLintCounts::tally(target, pool.configs());
     let removed = pool.retain(|cfg| target.lint_config(cfg) != ConfigLegality::Illegal);
@@ -577,7 +771,7 @@ fn init_state<'a>(
     );
     LoopState {
         schema,
-        annotator,
+        annotator: AnnotatorPosition::of(&annotator),
         select_rng,
         pool_rng,
         forest_seed,
@@ -598,44 +792,34 @@ fn init_state<'a>(
 fn drive(
     target: &dyn TuningTarget,
     strategy: Strategy,
-    config: &ActiveConfig,
-    mut state: LoopState<'_>,
+    mut live: LiveLoop,
     test_features: &FeatureMatrix,
     test_labels: &[f64],
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ActiveRun, CheckpointError> {
-    while state.train.len() < config.n_max && !state.pool.is_empty() {
-        let done = one_iteration(strategy, config, &mut state, test_features, test_labels);
+    while !live.is_done() {
+        live.step(target, strategy, test_features, test_labels);
         if let Some(policy) = policy {
-            if state.iteration.is_multiple_of(policy.every) || done {
-                make_checkpoint(&state, target, config).save_atomic(&policy.path)?;
+            if live.state.iteration.is_multiple_of(policy.every) || live.is_done() {
+                live.checkpoint().save_atomic(&policy.path)?;
             }
         }
     }
-
-    let measurement = *state.annotator.stats();
-    Ok(ActiveRun {
-        train: state.train,
-        history: state.history,
-        selections: state.selections,
-        model: state.model,
-        lint: state.lint,
-        measurement,
-        quarantined: state.quarantined,
-    })
+    Ok(live.into_run())
 }
 
 /// One pass of Algorithm 1's iteration body (lines 6–9): select and
 /// annotate a batch (topping back up past quarantines), refit, and record a
-/// test-set evaluation when due. Returns whether the run is finished.
-/// Callers must not invoke this on a finished run.
+/// test-set evaluation when due. Callers must not invoke this on a finished
+/// run.
 fn one_iteration(
+    target: &dyn TuningTarget,
     strategy: Strategy,
     config: &ActiveConfig,
-    state: &mut LoopState<'_>,
+    state: &mut LoopState,
     test_features: &FeatureMatrix,
     test_labels: &[f64],
-) -> bool {
+) {
     state.iteration += 1;
     // Observability: one span per iteration, one per loop stage
     // (rescore/select/measure/refit/eval). Every arg is a deterministic
@@ -648,6 +832,7 @@ fn one_iteration(
     // batch's worth of labels has landed or the pool drains. Fault-free
     // runs execute this inner loop exactly once.
     let goal = state.train.len() + config.n_batch.min(config.n_max - state.train.len());
+    let mut annotator = state.annotator.annotator(target, config);
     while state.train.len() < goal && !state.pool.is_empty() {
         let need = goal - state.train.len();
         // Under partial refit, score the pool from the per-tree cache:
@@ -694,7 +879,7 @@ fn one_iteration(
             [("batch", pwu_obs::Arg::u(taken.len() as u64))],
         );
         for ((cfg, row), (mu, sigma)) in taken.into_iter().zip(traces) {
-            match state.annotator.try_evaluate(&cfg) {
+            match annotator.try_evaluate(&cfg) {
                 Ok(y) => {
                     state.selections.push(SelectionTrace {
                         mean: mu,
@@ -717,6 +902,7 @@ fn one_iteration(
         }
         drop(_measure_span);
     }
+    state.annotator = AnnotatorPosition::of(&annotator);
     {
         let _s = pwu_obs::span(
             "core.refit",
@@ -754,50 +940,11 @@ fn one_iteration(
             &mut state.history,
             &state.model,
             &state.train,
-            state.annotator.stats().wasted_cost,
+            state.annotator.stats.wasted_cost,
             test_features,
             test_labels,
             &config.alphas,
         );
-    }
-    done
-}
-
-/// Captures the loop state as a serializable checkpoint.
-fn make_checkpoint(
-    state: &LoopState<'_>,
-    target: &dyn TuningTarget,
-    config: &ActiveConfig,
-) -> ActiveCheckpoint {
-    let levels_of = |cfgs: &[Configuration]| -> Vec<Vec<u32>> {
-        cfgs.iter().map(|c| c.levels().to_vec()).collect()
-    };
-    pwu_obs::event(
-        "core.checkpoint",
-        [("iter", pwu_obs::Arg::u(state.iteration))],
-    );
-    ActiveCheckpoint {
-        target_name: target.name().to_string(),
-        iteration: state.iteration,
-        forest_seed: state.forest_seed,
-        n_init: config.n_init,
-        n_batch: config.n_batch,
-        n_max: config.n_max,
-        repeats: config.repeats,
-        fit_mode: config.forest.fit_mode,
-        alphas: config.alphas.clone(),
-        annotator_rng: state.annotator.rng_state(),
-        annotator_evaluations: state.annotator.evaluations(),
-        stats: *state.annotator.stats(),
-        select_rng: state.select_rng.state(),
-        pool_rng: state.pool_rng.state(),
-        lint: state.lint,
-        train_configs: levels_of(state.train.configs()),
-        train_labels: state.train.labels().to_vec(),
-        pool_configs: levels_of(state.pool.configs()),
-        quarantined: levels_of(&state.quarantined),
-        history: state.history.clone(),
-        selections: state.selections.clone(),
     }
 }
 
@@ -1147,6 +1294,38 @@ mod tests {
         assert!(again.done);
         assert_eq!(again.step_cost, 0.0);
         assert_eq!(again.checkpoint, cp);
+    }
+
+    #[test]
+    fn live_loop_chain_matches_step_once_chain_checkpoint_by_checkpoint() {
+        let target = Synthetic::new();
+        let (pool1, tf, tl) = setup(&target, 150, 60, 44);
+        let (pool2, _, _) = setup(&target, 150, 60, 44);
+        let cfg = quick_config(30);
+        let strategy = Strategy::Pwu { alpha: 0.05 };
+
+        let mut cp = bootstrap(&target, &cfg, pool1, &tf, &tl, 29);
+        let mut live = LiveLoop::bootstrap(&target, &cfg, pool2, &tf, &tl, 29);
+        assert_eq!(live.checkpoint(), cp);
+        let mut steps = 0;
+        while !live.is_done() {
+            let out = step_once(&target, strategy, &cfg, &cp, &tf, &tl).unwrap();
+            let cost = live.step(&target, strategy, &tf, &tl);
+            assert_eq!(cost.to_bits(), out.step_cost.to_bits());
+            assert_eq!(live.is_done(), out.done);
+            cp = out.checkpoint;
+            assert_eq!(live.checkpoint(), cp, "diverged at step {steps}");
+            steps += 1;
+            // Dropping the handle mid-run and restoring it is invisible.
+            if steps == 7 {
+                live = LiveLoop::restore(&target, &cfg, &cp).unwrap();
+                assert_eq!(live.checkpoint(), cp);
+            }
+        }
+        assert_eq!(steps, 25);
+        // A finished handle steps as a free no-op.
+        assert_eq!(live.step(&target, strategy, &tf, &tl), 0.0);
+        assert_eq!(live.checkpoint(), cp);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! IEEE-754 bit pattern in hex, so round-trips are exact — a resumed run
 //! sees the same bits the killed run saw. Writes go through a temp file in
 //! the same directory followed by an atomic rename, so a crash mid-write
-//! leaves the previous checkpoint intact rather than a torn file.
+//! leaves the previous checkpoint intact rather than a torn file; the file
+//! and then its directory are `fsync`ed, so a written checkpoint also
+//! survives a power loss ([`write_durable`]). Encoding fills one pre-sized
+//! buffer and parsing borrows from the file text.
 //!
 //! Two integrity layers sit on top of the text format:
 //!
@@ -29,6 +32,7 @@
 //!   back to the previous durable one instead of losing the session.
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -187,11 +191,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// text body. The companion [`split_verified_body`] checks and strips it.
 #[must_use]
 pub fn with_integrity_footer(body: &str) -> String {
-    format!(
-        "{body}footer {} {:016x}\n",
-        body.len(),
-        fnv1a64(body.as_bytes())
-    )
+    let mut out = String::with_capacity(body.len() + 48);
+    out.push_str(body);
+    push_footer(&mut out);
+    out
 }
 
 /// Verifies the integrity footer on raw file bytes and returns the body.
@@ -201,6 +204,11 @@ pub fn with_integrity_footer(body: &str) -> String {
 /// footer is missing or malformed, the recorded length does not match the
 /// body, or the checksum disagrees — i.e. on any truncation or bit flip.
 pub fn split_verified_body(bytes: &[u8]) -> Result<&str, CheckpointError> {
+    verify_footer(bytes).map(|(body, _)| body)
+}
+
+/// [`split_verified_body`], also returning the body's FNV-1a digest.
+fn verify_footer(bytes: &[u8]) -> Result<(&str, u64), CheckpointError> {
     let corrupt = |msg: &str| CheckpointError::Corrupt(msg.to_string());
     let text =
         std::str::from_utf8(bytes).map_err(|_| corrupt("file is not valid UTF-8"))?;
@@ -224,25 +232,119 @@ pub fn split_verified_body(bytes: &[u8]) -> Result<&str, CheckpointError> {
     if fnv1a64(body.as_bytes()) != sum {
         return Err(corrupt("body checksum does not match the footer"));
     }
-    Ok(body)
+    Ok((body, sum))
 }
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// A `u64` printed as 16 zero-padded lowercase hex digits — the form every
+/// float (by its bits) and RNG word takes in the text format.
+struct Hex(u64);
+
+impl fmt::Display for Hex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0)
+    }
 }
 
-fn levels_line(levels: &[u32]) -> String {
-    let strs: Vec<String> = levels.iter().map(u32::to_string).collect();
-    strs.join(",")
+/// Appends `items` separated by `sep`: the `join` form, written straight
+/// into `out` instead of through a `Vec<String>`.
+fn push_joined<T: fmt::Display>(out: &mut String, sep: char, items: impl IntoIterator<Item = T>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        let _ = write!(out, "{item}");
+    }
+}
+
+/// Appends a configuration's levels as `l0,l1,...`, in decimal without
+/// going through `fmt`: the pool's levels are most of a checkpoint's bytes.
+fn push_levels(out: &mut String, levels: &[u32]) {
+    for (i, &level) in levels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut v = level;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    }
+}
+
+/// Appends the `footer <body-bytes> <fnv1a64>` line for the body that
+/// fills `out` and returns the body's digest.
+fn push_footer(out: &mut String) -> u64 {
+    let len = out.len();
+    let digest = fnv1a64(out.as_bytes());
+    let _ = writeln!(out, "footer {len} {}", Hex(digest));
+    digest
+}
+
+/// A checkpoint encoded once for durable storage: the text body followed by
+/// its integrity footer, and the body's FNV-1a digest (which is also the
+/// session fingerprint `pwu-serve` reports).
+#[derive(Debug, Clone)]
+pub struct EncodedCheckpoint {
+    bytes: String,
+    digest: u64,
+}
+
+impl EncodedCheckpoint {
+    /// The file bytes: body plus footer.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        self.bytes.as_bytes()
+    }
+
+    /// FNV-1a of the body — equal to `fnv1a64(checkpoint.to_text())`.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
 }
 
 impl ActiveCheckpoint {
     /// Serializes to the line-oriented checkpoint text format.
     #[must_use]
     pub fn to_text(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let w = &mut out;
+        let mut out = String::with_capacity(self.text_capacity());
+        self.write_text(&mut out);
+        out
+    }
+
+    /// Serializes to the durable file form (text plus integrity footer) in
+    /// one buffer, hashing the body once.
+    #[must_use]
+    pub fn encode(&self) -> EncodedCheckpoint {
+        let mut bytes = String::with_capacity(self.text_capacity());
+        self.write_text(&mut bytes);
+        let digest = push_footer(&mut bytes);
+        EncodedCheckpoint { bytes, digest }
+    }
+
+    /// An upper estimate of the encoded size (footer included), so encoding
+    /// fills one buffer without regrowing it.
+    fn text_capacity(&self) -> usize {
+        // A level takes at most 10 digits and a comma; a hex word 17 bytes.
+        let width = self.train_configs.first().map_or(0, Vec::len) * 11;
+        let configs = self.train_configs.len() + self.pool_configs.len() + self.quarantined.len();
+        let history: usize = self.history.iter().map(|s| 40 + 17 * s.rmse.len()).sum();
+        1024 + 17 * self.alphas.len()
+            + configs * (width + 1)
+            + 17 * self.train_labels.len()
+            + history
+            + 51 * self.selections.len()
+            + self.target_name.len()
+    }
+
+    fn write_text(&self, w: &mut String) {
         let _ = writeln!(w, "{MAGIC}");
         let _ = writeln!(w, "target {}", self.target_name);
         let _ = writeln!(w, "iteration {}", self.iteration);
@@ -253,8 +355,9 @@ impl ActiveCheckpoint {
             self.n_init, self.n_batch, self.n_max, self.repeats
         );
         let _ = writeln!(w, "fit-mode {}", self.fit_mode.token());
-        let alphas: Vec<String> = self.alphas.iter().map(|&a| hex(a)).collect();
-        let _ = writeln!(w, "alphas {}", alphas.join(" "));
+        w.push_str("alphas ");
+        push_joined(w, ' ', self.alphas.iter().map(|a| Hex(a.to_bits())));
+        w.push('\n');
         for (tag, state) in [
             ("annotator-rng", &self.annotator_rng),
             ("select-rng", &self.select_rng),
@@ -262,8 +365,11 @@ impl ActiveCheckpoint {
         ] {
             let _ = writeln!(
                 w,
-                "{tag} {:016x} {:016x} {:016x} {:016x}",
-                state[0], state[1], state[2], state[3]
+                "{tag} {} {} {} {}",
+                Hex(state[0]),
+                Hex(state[1]),
+                Hex(state[2]),
+                Hex(state[3])
             );
         }
         let _ = writeln!(w, "annotator-evaluations {}", self.annotator_evaluations);
@@ -279,7 +385,7 @@ impl ActiveCheckpoint {
             s.timeouts,
             s.retries,
             s.failed_annotations,
-            hex(s.wasted_cost)
+            Hex(s.wasted_cost.to_bits())
         );
         let _ = writeln!(
             w,
@@ -288,39 +394,33 @@ impl ActiveCheckpoint {
         );
         let _ = writeln!(w, "train {}", self.train_configs.len());
         for (cfg, label) in self.train_configs.iter().zip(&self.train_labels) {
-            let _ = writeln!(w, "{} {}", levels_line(cfg), hex(*label));
+            push_levels(w, cfg);
+            let _ = writeln!(w, " {}", Hex(label.to_bits()));
         }
-        let _ = writeln!(w, "pool {}", self.pool_configs.len());
-        for cfg in &self.pool_configs {
-            let _ = writeln!(w, "{}", levels_line(cfg));
-        }
-        let _ = writeln!(w, "quarantined {}", self.quarantined.len());
-        for cfg in &self.quarantined {
-            let _ = writeln!(w, "{}", levels_line(cfg));
+        for (tag, configs) in [("pool", &self.pool_configs), ("quarantined", &self.quarantined)] {
+            let _ = writeln!(w, "{tag} {}", configs.len());
+            for cfg in configs {
+                push_levels(w, cfg);
+                w.push('\n');
+            }
         }
         let _ = writeln!(w, "history {}", self.history.len());
         for snap in &self.history {
-            let rmse: Vec<String> = snap.rmse.iter().map(|&r| hex(r)).collect();
-            let _ = writeln!(
-                w,
-                "{} {} {}",
-                snap.n_train,
-                hex(snap.cumulative_cost),
-                rmse.join(" ")
-            );
+            let _ = write!(w, "{} {} ", snap.n_train, Hex(snap.cumulative_cost.to_bits()));
+            push_joined(w, ' ', snap.rmse.iter().map(|r| Hex(r.to_bits())));
+            w.push('\n');
         }
         let _ = writeln!(w, "selections {}", self.selections.len());
         for sel in &self.selections {
             let _ = writeln!(
                 w,
                 "{} {} {}",
-                hex(sel.mean),
-                hex(sel.std),
-                hex(sel.observed)
+                Hex(sel.mean.to_bits()),
+                Hex(sel.std.to_bits()),
+                Hex(sel.observed.to_bits())
             );
         }
-        let _ = writeln!(w, "end");
-        out
+        w.push_str("end\n");
     }
 
     /// Parses the checkpoint text format.
@@ -342,17 +442,17 @@ impl ActiveCheckpoint {
             .trim()
             .parse()
             .map_err(|e: std::num::ParseIntError| lines.err(format!("bad forest-seed: {e}")))?;
-        let counts = lines.tagged_rest("counts")?.to_string();
+        let counts = lines.tagged_rest("counts")?;
         let mut it = counts.split_whitespace();
         let n_init = lines.next_usize(&mut it, "counts")?;
         let n_batch = lines.next_usize(&mut it, "counts")?;
         let n_max = lines.next_usize(&mut it, "counts")?;
         let repeats = lines.next_usize(&mut it, "counts")?;
-        let fit_mode_token = lines.tagged_rest("fit-mode")?.trim().to_string();
-        let fit_mode = FitMode::parse(&fit_mode_token)
+        let fit_mode_token = lines.tagged_rest("fit-mode")?.trim();
+        let fit_mode = FitMode::parse(fit_mode_token)
             .ok_or_else(|| lines.err(format!("unknown fit-mode {fit_mode_token:?}")))?;
-        let alphas_line = lines.tagged_rest("alphas")?.to_string();
-        let alphas = alphas_line
+        let alphas = lines
+            .tagged_rest("alphas")?
             .split_whitespace()
             .map(|tok| lines.parse_hex_f64(tok))
             .collect::<Result<Vec<f64>, _>>()?;
@@ -364,8 +464,7 @@ impl ActiveCheckpoint {
             .trim()
             .parse()
             .map_err(|e: std::num::ParseIntError| lines.err(format!("bad evaluations: {e}")))?;
-        let stats_line = lines.tagged_rest("stats")?.to_string();
-        let mut it = stats_line.split_whitespace();
+        let mut it = lines.tagged_rest("stats")?.split_whitespace();
         let stats = MeasurementStats {
             annotations: lines.next_usize(&mut it, "stats")?,
             readings: lines.next_usize(&mut it, "stats")?,
@@ -382,8 +481,7 @@ impl ActiveCheckpoint {
                 lines.parse_hex_f64(tok)?
             },
         };
-        let lint_line = lines.tagged_rest("lint")?.to_string();
-        let mut it = lint_line.split_whitespace();
+        let mut it = lines.tagged_rest("lint")?.split_whitespace();
         let lint = PoolLintCounts {
             legal: lines.next_usize(&mut it, "lint")?,
             flagged: lines.next_usize(&mut it, "lint")?,
@@ -391,33 +489,23 @@ impl ActiveCheckpoint {
         };
 
         let n_train = lines.counted_section("train")?;
-        let mut train_configs = Vec::with_capacity(n_train);
+        let mut train_configs: Vec<Vec<u32>> = Vec::with_capacity(n_train);
         let mut train_labels = Vec::with_capacity(n_train);
         for _ in 0..n_train {
-            let line = lines.next_line()?.to_string();
+            let line = lines.next_line()?;
             let (levels, label) = line
                 .rsplit_once(' ')
                 .ok_or_else(|| lines.err("train line needs 'levels label'".into()))?;
-            train_configs.push(lines.parse_levels(levels)?);
+            let width = train_configs.last().map_or(0, Vec::len);
+            train_configs.push(lines.parse_levels(levels, width)?);
             train_labels.push(lines.parse_hex_f64(label)?);
         }
-        let n_pool = lines.counted_section("pool")?;
-        let mut pool_configs = Vec::with_capacity(n_pool);
-        for _ in 0..n_pool {
-            let line = lines.next_line()?.to_string();
-            pool_configs.push(lines.parse_levels(&line)?);
-        }
-        let n_quarantined = lines.counted_section("quarantined")?;
-        let mut quarantined = Vec::with_capacity(n_quarantined);
-        for _ in 0..n_quarantined {
-            let line = lines.next_line()?.to_string();
-            quarantined.push(lines.parse_levels(&line)?);
-        }
+        let pool_configs = lines.levels_section("pool")?;
+        let quarantined = lines.levels_section("quarantined")?;
         let n_history = lines.counted_section("history")?;
         let mut history = Vec::with_capacity(n_history);
         for _ in 0..n_history {
-            let line = lines.next_line()?.to_string();
-            let mut it = line.split_whitespace();
+            let mut it = lines.next_line()?.split_whitespace();
             let n_train = lines.next_usize(&mut it, "history")?;
             let cumulative_cost = {
                 let tok = it
@@ -437,8 +525,7 @@ impl ActiveCheckpoint {
         let n_selections = lines.counted_section("selections")?;
         let mut selections = Vec::with_capacity(n_selections);
         for _ in 0..n_selections {
-            let line = lines.next_line()?.to_string();
-            let mut it = line.split_whitespace();
+            let mut it = lines.next_line()?.split_whitespace();
             let mut next = |what: &str| -> Result<f64, CheckpointError> {
                 let tok = it
                     .next()
@@ -477,22 +564,15 @@ impl ActiveCheckpoint {
         })
     }
 
-    /// Writes the checkpoint atomically: serialize (with the integrity
-    /// footer) to a temp file in the same directory, flush, then rename over
-    /// `path`. A crash mid-write cannot corrupt an existing checkpoint.
+    /// Writes the checkpoint atomically and durably (with the integrity
+    /// footer) through [`write_durable`]: a crash mid-write cannot corrupt an
+    /// existing checkpoint, and once this returns the new file survives a
+    /// power loss.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Io`] on any filesystem failure.
     pub fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(with_integrity_footer(&self.to_text()).as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
+        write_durable(path, self.encode().as_bytes())?;
         Ok(())
     }
 
@@ -518,9 +598,61 @@ impl ActiveCheckpoint {
     /// passed the checksum still fails to parse (i.e. a valid footer was
     /// stamped onto a malformed body — possible only for hand-built files).
     pub fn load_verified(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = fs::read(path)?;
-        Self::from_text(split_verified_body(&bytes)?)
+        Self::read_verified(path).map(|(checkpoint, _)| checkpoint)
     }
+
+    /// [`ActiveCheckpoint::load_verified`], also returning the body's
+    /// FNV-1a digest read off the verified footer.
+    fn read_verified(path: &Path) -> Result<(Self, u64), CheckpointError> {
+        let bytes = fs::read(path)?;
+        let (body, digest) = verify_footer(&bytes)?;
+        Ok((Self::from_text(body)?, digest))
+    }
+}
+
+/// Replaces `path` with `bytes` atomically and durably: write a temp file
+/// in the same directory, `fsync` it, rename it over `path`, then (on Unix)
+/// `fsync` the directory so the rename itself is on disk. A crash at any
+/// point leaves either the old file or the new one; after a power loss the
+/// new one is there once this has returned.
+///
+/// # Errors
+/// Returns any filesystem error.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    sync_parent_dir(path)
+}
+
+/// Flushes the directory holding `path`, so a rename into it or a new entry
+/// (file or directory) created in it is durable.
+///
+/// # Errors
+/// Returns any filesystem error.
+#[cfg(unix)]
+pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+/// Directory handles cannot be synced portably off Unix; there the rename
+/// is as durable as the platform makes it.
+///
+/// # Errors
+/// Never fails.
+#[cfg(not(unix))]
+pub fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// A directory of generation-numbered checkpoints (`gen-NNNNNNNNNN.ckpt`).
@@ -545,6 +677,9 @@ pub struct Recovered {
     pub rolled_back: usize,
     /// The recovered checkpoint.
     pub checkpoint: ActiveCheckpoint,
+    /// FNV-1a of the recovered file's body, read off its verified footer:
+    /// the [`EncodedCheckpoint::digest`] the save reported.
+    pub digest: u64,
 }
 
 impl GenerationStore {
@@ -609,10 +744,23 @@ impl GenerationStore {
     /// Returns [`CheckpointError::Io`] on any filesystem failure. Pruning
     /// failures are ignored — a stale extra generation is harmless.
     pub fn save(&self, checkpoint: &ActiveCheckpoint) -> Result<u64, CheckpointError> {
+        self.save_encoded(&checkpoint.encode())
+    }
+
+    /// [`GenerationStore::save`] for a checkpoint already encoded, so a
+    /// caller that also needs its digest encodes it once.
+    ///
+    /// The new generation is durable (file and directory entry synced, see
+    /// [`write_durable`]) before any older one is pruned, so a power loss
+    /// mid-save never leaves the store without a durable generation.
+    ///
+    /// # Errors
+    /// As [`GenerationStore::save`].
+    pub fn save_encoded(&self, encoded: &EncodedCheckpoint) -> Result<u64, CheckpointError> {
         fs::create_dir_all(&self.dir)?;
         let gens = self.generations();
         let next = gens.last().map_or(0, |g| g + 1);
-        checkpoint.save_atomic(&self.path_for(next))?;
+        write_durable(&self.path_for(next), encoded.as_bytes())?;
         for &old in gens.iter().rev().skip(self.keep - 1) {
             let _ = fs::remove_file(self.path_for(old));
         }
@@ -633,12 +781,13 @@ impl GenerationStore {
         }
         let mut rolled_back = 0usize;
         for &generation in gens.iter().rev() {
-            match ActiveCheckpoint::load_verified(&self.path_for(generation)) {
-                Ok(checkpoint) => {
+            match ActiveCheckpoint::read_verified(&self.path_for(generation)) {
+                Ok((checkpoint, digest)) => {
                     return Ok(Some(Recovered {
                         generation,
                         rolled_back,
                         checkpoint,
+                        digest,
                     }))
                 }
                 Err(_) => rolled_back += 1,
@@ -729,8 +878,7 @@ impl<'a> Lines<'a> {
     }
 
     fn rng_state(&mut self, tag: &str) -> Result<[u64; 4], CheckpointError> {
-        let rest = self.tagged_rest(tag)?.to_string();
-        let mut it = rest.split_whitespace();
+        let mut it = self.tagged_rest(tag)?.split_whitespace();
         let mut state = [0u64; 4];
         for slot in &mut state {
             let tok = it
@@ -741,14 +889,28 @@ impl<'a> Lines<'a> {
         Ok(state)
     }
 
-    fn parse_levels(&self, s: &str) -> Result<Vec<u32>, CheckpointError> {
-        s.trim()
-            .split(',')
-            .map(|tok| {
+    /// Parses `l0,l1,...`; `width` is a capacity hint.
+    fn parse_levels(&self, s: &str, width: usize) -> Result<Vec<u32>, CheckpointError> {
+        let mut levels = Vec::with_capacity(width);
+        for tok in s.trim().split(',') {
+            levels.push(
                 tok.parse()
-                    .map_err(|e| self.err(format!("bad level '{tok}': {e}")))
-            })
-            .collect()
+                    .map_err(|e| self.err(format!("bad level '{tok}': {e}")))?,
+            );
+        }
+        Ok(levels)
+    }
+
+    /// Consumes a `tag <count>` header and that many level lines.
+    fn levels_section(&mut self, tag: &str) -> Result<Vec<Vec<u32>>, CheckpointError> {
+        let n = self.counted_section(tag)?;
+        let mut configs: Vec<Vec<u32>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let line = self.next_line()?;
+            let width = configs.last().map_or(0, Vec::len);
+            configs.push(self.parse_levels(line, width)?);
+        }
+        Ok(configs)
     }
 }
 
@@ -804,6 +966,82 @@ mod tests {
                 observed: 0.29,
             }],
         }
+    }
+
+    /// The exact text of [`sample`]: pins the on-disk format byte for byte,
+    /// so every digest computed over it stays stable.
+    const SAMPLE_TEXT: &str = "\
+pwu-active-checkpoint v2
+target synthetic
+iteration 17
+forest-seed 3735928559
+counts 10 2 100 35
+fit-mode fast
+alphas 3fa999999999999a 3fb999999999999a
+annotator-rng 0000000000000001 0000000000000002 0000000000000003 0000000000000004
+select-rng 0000000000000005 0000000000000006 0000000000000007 0000000000000008
+pool-rng 0000000000000009 000000000000000a 000000000000000b 000000000000000c
+annotator-evaluations 42
+stats 42 1400 3 5 1 2 8 4 4028c00000000000
+lint 90 7 3
+train 2
+0,1,2 3fd0000000000000
+3,4,5 0000000000000001
+pool 1
+6,7,8
+quarantined 1
+9,9,9
+history 1
+10 400c000000000000 3fb999999999999a 3fc999999999999a
+selections 1
+3fd3333333333333 3f847ae147ae147b 3fd28f5c28f5c28f
+end
+";
+
+    #[test]
+    fn text_format_is_pinned_byte_for_byte() {
+        assert_eq!(sample().to_text(), SAMPLE_TEXT);
+        assert_eq!(
+            with_integrity_footer(SAMPLE_TEXT),
+            format!(
+                "{SAMPLE_TEXT}footer {} {:016x}\n",
+                SAMPLE_TEXT.len(),
+                fnv1a64(SAMPLE_TEXT.as_bytes())
+            )
+        );
+    }
+
+    #[test]
+    fn levels_are_written_in_decimal_comma_separated() {
+        let mut out = String::new();
+        push_levels(&mut out, &[0, 9, 10, 407, u32::MAX]);
+        assert_eq!(out, "0,9,10,407,4294967295");
+    }
+
+    #[test]
+    fn encode_is_the_footered_text_and_its_digest() {
+        let cp = sample();
+        let encoded = cp.encode();
+        assert_eq!(encoded.as_bytes(), with_integrity_footer(SAMPLE_TEXT).as_bytes());
+        assert_eq!(encoded.digest(), fnv1a64(SAMPLE_TEXT.as_bytes()));
+        let (body, digest) = verify_footer(encoded.as_bytes()).unwrap();
+        assert_eq!((body, digest), (SAMPLE_TEXT, encoded.digest()));
+
+        // Extreme values keep the fixed-width and decimal forms exact.
+        let mut wide = cp.clone();
+        wide.iteration = u64::MAX;
+        wide.forest_seed = 0;
+        wide.train_configs[0] = vec![u32::MAX, 0, 10];
+        wide.alphas = vec![f64::from_bits(u64::MAX)];
+        let text = wide.to_text();
+        assert!(text.contains("\niteration 18446744073709551615\n"));
+        assert!(text.contains("\nforest-seed 0\n"));
+        assert!(text.contains("\n4294967295,0,10 3fd0000000000000\n"));
+        assert!(text.contains("\nalphas ffffffffffffffff\n"));
+        let back = ActiveCheckpoint::from_text(&text).unwrap();
+        assert_eq!(back.iteration, u64::MAX);
+        assert_eq!(back.train_configs, wide.train_configs);
+        assert_eq!(back.alphas[0].to_bits(), u64::MAX);
     }
 
     #[test]
@@ -932,6 +1170,8 @@ mod tests {
         assert_eq!(got.generation, 3);
         assert_eq!(got.rolled_back, 0);
         assert_eq!(got.checkpoint.iteration, 23);
+        // The digest comes off the verified footer: the one the save encoded.
+        assert_eq!(got.digest, cp.encode().digest());
 
         // Corrupt the newest generation: recovery rolls back to gen 2.
         let newest = store.path_for(3);

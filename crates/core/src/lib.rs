@@ -35,11 +35,13 @@ pub mod score;
 pub mod strategy;
 pub mod tuning;
 
-pub use active::{bootstrap, step_once, ActiveConfig, ActiveRun, RefitMode, Snapshot, StepOutcome};
+pub use active::{
+    bootstrap, step_once, ActiveConfig, ActiveRun, LiveLoop, RefitMode, Snapshot, StepOutcome,
+};
 pub use annotator::{Aggregator, AnnotationFailure, Annotator, MeasurementStats, RetryPolicy};
 pub use checkpoint::{
-    fnv1a64, with_integrity_footer, ActiveCheckpoint, CheckpointError, CheckpointPolicy,
-    GenerationStore, Recovered,
+    fnv1a64, with_integrity_footer, write_durable, ActiveCheckpoint, CheckpointError,
+    CheckpointPolicy, EncodedCheckpoint, GenerationStore, Recovered,
 };
 pub use experiment::{ExperimentResult, Protocol, StrategyCurve};
 pub use metrics::{cost_to_reach, rmse_at_alpha};

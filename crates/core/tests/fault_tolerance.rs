@@ -354,6 +354,50 @@ fn session_suspended_mid_quarantine_resumes_with_identical_tallies() {
 }
 
 #[test]
+fn live_loop_under_stress_faults_matches_the_step_once_chain() {
+    // The resident-session path (one `LiveLoop` stepped in place) against
+    // the recovery path (`bootstrap` + `step_once` from each checkpoint),
+    // under 20 % injected faults so quarantine top-ups and retries land
+    // mid-run: every step's checkpoint and cost must agree bit for bit.
+    let kernel = kernel_by_name("atax")
+        .expect("atax registered")
+        .with_faults(FaultModel::stress(0x5EED));
+    let (pool_cfgs, test_features, test_labels) = pool_and_test(&kernel, 9);
+    let schema = FeatureSchema::for_space(kernel.space());
+    let config = small_config();
+    let strategy = Strategy::Pwu { alpha: 0.05 };
+    let pool = || Pool::new(kernel.space(), &schema, pool_cfgs.clone());
+
+    let mut checkpoint =
+        active::bootstrap(&kernel, &config, pool(), &test_features, &test_labels, 43);
+    let mut live =
+        active::LiveLoop::bootstrap(&kernel, &config, pool(), &test_features, &test_labels, 43);
+    let mut topped_up = false;
+    while !live.is_done() {
+        let out = active::step_once(
+            &kernel,
+            strategy,
+            &config,
+            &checkpoint,
+            &test_features,
+            &test_labels,
+        )
+        .unwrap();
+        let cost = live.step(&kernel, strategy, &test_features, &test_labels);
+        topped_up |= out.checkpoint.quarantined.len() > checkpoint.quarantined.len();
+        checkpoint = out.checkpoint;
+        assert_eq!(cost.to_bits(), out.step_cost.to_bits());
+        assert_eq!(live.is_done(), out.done);
+        assert_eq!(live.checkpoint(), checkpoint, "diverged at {}", checkpoint.iteration);
+    }
+    assert!(
+        topped_up,
+        "the stress model must quarantine mid-run for this test to bite"
+    );
+    assert!(checkpoint.stats.retries > 0);
+}
+
+#[test]
 fn model_based_tuning_completes_under_twenty_percent_faults() {
     let kernel = kernel_by_name("mm")
         .expect("mm registered")

@@ -603,6 +603,18 @@ fn stitch_columns(n_rows: usize, n_cols: usize, per_chunk: Vec<Vec<Vec<f64>>>) -
 }
 
 impl FlatForest {
+    /// Approximate heap bytes held by the compiled trees.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.trees
+            .iter()
+            .map(|t| {
+                t.nodes.capacity() * std::mem::size_of::<FlatNode>()
+                    + t.num.capacity() * std::mem::size_of::<NumNode>()
+                    + (t.mean.capacity() + t.second.capacity()) * 8
+            })
+            .sum()
+    }
+
     /// Compiles every tree of a fitted ensemble.
     pub(crate) fn compile(trees: &[RegressionTree]) -> Self {
         // Compiling is O(total nodes) per tree with no cross-tree state, so

@@ -563,6 +563,15 @@ impl RandomForest {
         &self.trees
     }
 
+    /// Approximate heap bytes the fitted model holds: tree arenas,
+    /// out-of-bag rows and, when compiled, the flat predict layout.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        let trees: usize = self.trees.iter().map(RegressionTree::approx_bytes).sum();
+        let oob: usize = self.oob_rows.iter().map(|r| r.capacity() * 4).sum();
+        trees + oob + self.flat.as_ref().map_or(0, crate::flat::FlatForest::approx_bytes)
+    }
+
     /// Mean within-leaf variance across the ensemble (`Σ var·count /
     /// Σ count` over every leaf) — the irreducible-noise diagnostic the
     /// fast path's statistical-equivalence suite compares between engines.

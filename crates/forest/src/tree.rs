@@ -218,6 +218,13 @@ impl RegressionTree {
         self.nodes.len()
     }
 
+    /// Approximate heap bytes held by the node arena and the split log.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.split_gains.capacity() * std::mem::size_of::<(u32, f64)>()
+    }
+
     /// Number of leaves.
     #[must_use]
     pub fn n_leaves(&self) -> usize {

@@ -2,9 +2,11 @@
 //!
 //! The server sheds load instead of degrading everyone: a request that
 //! would push past a bound gets a typed `overloaded` response immediately
-//! (the client can retry, back off or target another server), and the warm
-//! [`pwu_spapt::EvalCache`] memos are bounded by count and by approximate
-//! bytes via the [`crate::lru`] tracker.
+//! (the client can retry, back off or target another server). Resident
+//! sessions are bounded by count; the rebuildable state on top of their
+//! checkpoints (warm [`pwu_spapt::EvalCache`] memos and each session's live
+//! loop and test set) is bounded by approximate bytes, shed coldest first
+//! via the [`crate::lru`] tracker.
 
 use crate::protocol::{ErrorKind, ProtocolError};
 
@@ -22,7 +24,8 @@ pub struct AdmissionPolicy {
     pub max_steps_per_request: usize,
     /// Maximum kernel sessions allowed to keep a warm eval-cache memo.
     pub max_warm_caches: usize,
-    /// Maximum total approximate bytes across all warm memos.
+    /// Maximum total approximate bytes across all warm memos and the live
+    /// state (live loop and test set) of resident sessions.
     pub max_cache_bytes: usize,
 }
 

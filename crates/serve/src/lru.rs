@@ -1,11 +1,12 @@
-//! Recency tracking for warm per-kernel eval-cache memos.
+//! Recency tracking for warm per-kernel eval-cache memos and live state.
 //!
 //! The server hosts many sessions whose kernels each hold an
-//! [`pwu_spapt::EvalCache`]; under thousands of mixed sessions those memos
-//! are the dominant heap consumer. This tracker keeps session ids in
-//! recency order so the server can clear the *coldest* warm memos first
-//! when the [`crate::admission::AdmissionPolicy`] cache bounds are
-//! exceeded. Clearing a memo is always safe — it is an optimization, never
+//! [`pwu_spapt::EvalCache`], and whose resident sessions keep a live loop
+//! and test set between steps; under thousands of mixed sessions those are
+//! the dominant heap consumers. This tracker keeps session ids in recency
+//! order so the server can shed the *coldest* first when the
+//! [`crate::admission::AdmissionPolicy`] cache bounds are exceeded.
+//! Shedding either is always safe — both are rebuilt on demand, never
 //! state — so eviction can never corrupt a session.
 
 /// Session ids ordered coldest-first.

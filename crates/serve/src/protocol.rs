@@ -130,13 +130,15 @@ impl Fields {
         }
     }
 
-    /// The numeric value of `key` as a `u64`, rejecting negatives and
-    /// fractions.
+    /// The numeric value of `key` as a `u64`, rejecting negatives,
+    /// fractions and values from 2^53 up: numbers travel as `f64`, which
+    /// cannot tell those integers apart (`9007199254740993` parses as 2^53),
+    /// so accepting them would silently change the value.
     #[must_use]
     pub fn u64(&self, key: &str) -> Option<u64> {
         let n = self.f64(key)?;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
+        if n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(53) {
             Some(n as u64)
         } else {
             None

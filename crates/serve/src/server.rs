@@ -17,6 +17,7 @@ use std::fs;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
+use pwu_spapt::EvalCache;
 use rayon::prelude::*;
 
 use crate::admission::AdmissionPolicy;
@@ -361,10 +362,13 @@ impl Server {
 
     fn query(&mut self, id: &str) -> Result<String, ProtocolError> {
         let session = self.get_mut(id)?;
-        let extras = [(
-            "cache_bytes",
-            Value::U(session.target().cache().map_or(0, pwu_spapt::EvalCache::approx_bytes) as u64),
-        )];
+        let extras = [
+            (
+                "cache_bytes",
+                Value::U(session.target().cache().map_or(0, EvalCache::approx_bytes) as u64),
+            ),
+            ("live_bytes", Value::U(session.live_bytes() as u64)),
+        ];
         Ok(session_line(id, session, &extras))
     }
 
@@ -578,30 +582,53 @@ impl Server {
         Ok(w.finish())
     }
 
-    /// Clears the coldest warm eval-cache memos until the cache count and
-    /// byte bounds hold. Returns how many memos were cleared.
+    /// Sheds the coldest rebuildable state until the cache bounds hold:
+    /// warm eval-cache memos count against `max_warm_caches`, and memos plus
+    /// the live state of resident sessions count against `max_cache_bytes`.
+    /// Both are caches. A shed live state is rebuilt from the committed
+    /// checkpoint by the session's next step, bit-identically, and a
+    /// cleared memo refills. Live state goes first: with all of it shed
+    /// the footprint is the memos alone, so no memo is cleared that a
+    /// server keeping no live state would have kept. Returns how many memos
+    /// were cleared.
     fn enforce_cache_budget(&mut self) -> usize {
-        let warm = |s: &Session| s.target().cache().is_some_and(|c| c.approx_bytes() > 0);
-        let mut warm_count = self.sessions.values().filter(|s| warm(s)).count();
+        let memo = |s: &Session| s.target().cache().map_or(0, EvalCache::approx_bytes);
+        let mut warm_count = self.sessions.values().filter(|s| memo(s) > 0).count();
         let mut total_bytes: usize = self
             .sessions
             .values()
-            .filter_map(|s| s.target().cache())
-            .map(pwu_spapt::EvalCache::approx_bytes)
+            .map(|s| memo(s) + s.live_bytes())
             .sum();
-        if warm_count <= self.admission.max_warm_caches
-            && total_bytes <= self.admission.max_cache_bytes
-        {
+        let (max_warm, max_bytes) = (self.admission.max_warm_caches, self.admission.max_cache_bytes);
+        if warm_count <= max_warm && total_bytes <= max_bytes {
             return 0;
         }
-        let order: Vec<String> = self.lru.coldest_first().map(str::to_string).collect();
-        let mut evicted = 0;
         // Coldest first; ids the LRU never saw (e.g. attached but never
-        // stepped) cannot be warm, so the tracked order covers everything.
+        // stepped) hold neither a memo nor live state, so the tracked order
+        // covers everything.
+        let order: Vec<String> = self.lru.coldest_first().map(str::to_string).collect();
+        for id in &order {
+            if total_bytes <= max_bytes {
+                break;
+            }
+            let Some(session) = self.sessions.get_mut(id) else {
+                continue;
+            };
+            let bytes = session.shed_live();
+            if bytes > 0 {
+                total_bytes -= bytes;
+                pwu_obs::event(
+                    "serve.shed_live",
+                    [
+                        ("session", pwu_obs::Arg::s(id.as_str())),
+                        ("bytes", pwu_obs::Arg::u(bytes as u64)),
+                    ],
+                );
+            }
+        }
+        let mut evicted = 0;
         for id in order {
-            if warm_count <= self.admission.max_warm_caches
-                && total_bytes <= self.admission.max_cache_bytes
-            {
+            if warm_count <= max_warm && total_bytes <= max_bytes {
                 break;
             }
             let Some(session) = self.sessions.get(&id) else {
@@ -627,7 +654,9 @@ impl Server {
                     ("bytes", pwu_obs::Arg::u(bytes as u64)),
                 ],
             );
-            self.lru.remove(&id);
+            if session.live_bytes() == 0 {
+                self.lru.remove(&id);
+            }
         }
         evicted
     }
@@ -668,63 +697,42 @@ fn session_line(id: &str, session: &Session, extras: &[(&str, Value)]) -> String
     w.finish()
 }
 
-/// Builds a [`SessionSpec`] from a `create` request's fields.
+/// Builds a [`SessionSpec`] from a `create` request's fields. An absent
+/// field keeps its default; a present field of the wrong form is a typed
+/// bad request, never a silent default.
 fn spec_from_fields(fields: &Fields) -> Result<SessionSpec, ProtocolError> {
+    let target = typed(fields, "target", "a string", Fields::str)?.ok_or_else(|| {
+        ProtocolError::new(ErrorKind::BadRequest, "missing string field 'target'")
+    })?;
     let mut spec = SessionSpec {
-        target: fields
-            .str("target")
-            .ok_or_else(|| {
-                ProtocolError::new(ErrorKind::BadRequest, "missing string field 'target'")
-            })?
-            .to_string(),
+        target: target.to_string(),
         ..SessionSpec::default()
     };
-    let set = |key: &str, slot: &mut usize| -> Result<(), ProtocolError> {
-        if fields.get(key).is_some() {
-            *slot = fields.usize(key).ok_or_else(|| {
-                ProtocolError::new(
-                    ErrorKind::BadRequest,
-                    format!("field '{key}' must be a non-negative integer"),
-                )
-            })?;
+    for (key, slot) in [
+        ("n_init", &mut spec.n_init),
+        ("n_batch", &mut spec.n_batch),
+        ("n_max", &mut spec.n_max),
+        ("repeats", &mut spec.repeats),
+        ("n_trees", &mut spec.n_trees),
+        ("eval_every", &mut spec.eval_every),
+        ("pool_n", &mut spec.pool_n),
+        ("test_n", &mut spec.test_n),
+    ] {
+        if let Some(v) = typed(fields, key, "a non-negative integer", Fields::usize)? {
+            *slot = v;
         }
-        Ok(())
-    };
-    let mut n_init = spec.n_init;
-    let mut n_batch = spec.n_batch;
-    let mut n_max = spec.n_max;
-    let mut repeats = spec.repeats;
-    let mut n_trees = spec.n_trees;
-    let mut eval_every = spec.eval_every;
-    let mut pool_n = spec.pool_n;
-    let mut test_n = spec.test_n;
-    set("n_init", &mut n_init)?;
-    set("n_batch", &mut n_batch)?;
-    set("n_max", &mut n_max)?;
-    set("repeats", &mut repeats)?;
-    set("n_trees", &mut n_trees)?;
-    set("eval_every", &mut eval_every)?;
-    set("pool_n", &mut pool_n)?;
-    set("test_n", &mut test_n)?;
-    spec.n_init = n_init;
-    spec.n_batch = n_batch;
-    spec.n_max = n_max;
-    spec.repeats = repeats;
-    spec.n_trees = n_trees;
-    spec.eval_every = eval_every;
-    spec.pool_n = pool_n;
-    spec.test_n = test_n;
-    if let Some(alpha) = fields.f64("alpha") {
+    }
+    if let Some(alpha) = typed(fields, "alpha", "a number", Fields::f64)? {
         spec.alpha = alpha;
     }
-    if let Some(seed) = fields.u64("seed") {
+    if let Some(seed) = typed(fields, "seed", "an integer in [0, 2^53)", Fields::u64)? {
         spec.seed = seed;
     }
-    spec.strategy = match fields.str("strategy") {
+    spec.strategy = match typed(fields, "strategy", "a string", Fields::str)? {
         Some(token) => parse_strategy(token)?,
         None => pwu_core::Strategy::Pwu { alpha: spec.alpha },
     };
-    if let Some(token) = fields.str("fit_mode") {
+    if let Some(token) = typed(fields, "fit_mode", "a string", Fields::str)? {
         spec.fit_mode = pwu_forest::FitMode::parse(token).ok_or_else(|| {
             ProtocolError::new(
                 ErrorKind::BadRequest,
@@ -733,4 +741,24 @@ fn spec_from_fields(fields: &Fields) -> Result<SessionSpec, ProtocolError> {
         })?;
     }
     Ok(spec)
+}
+
+/// Reads `key` with `get`: `None` when the field is absent, a typed
+/// bad-request naming the expected form (`what`) when it is present but
+/// `get` rejects it.
+fn typed<'f, T>(
+    fields: &'f Fields,
+    key: &str,
+    what: &str,
+    get: impl Fn(&'f Fields, &str) -> Option<T>,
+) -> Result<Option<T>, ProtocolError> {
+    if fields.get(key).is_none() {
+        return Ok(None);
+    }
+    get(fields, key).map(Some).ok_or_else(|| {
+        ProtocolError::new(
+            ErrorKind::BadRequest,
+            format!("field '{key}' must be {what}"),
+        )
+    })
 }

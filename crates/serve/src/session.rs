@@ -18,16 +18,26 @@
 //! `Active → Done` (the run reached `n_max`). Every transition leaves the
 //! durable state either untouched or strictly newer — a step that panics or
 //! busts its deadline commits nothing.
+//!
+//! While resident, a session also keeps the run in flight: a
+//! [`LiveLoop`] (model, encoded pool, training set, RNG streams) and the
+//! materialized test set, so a step costs one loop iteration plus one
+//! checkpoint write. Between steps the live loop always equals the committed
+//! checkpoint. It is built at create, rebuilt from the checkpoint by the
+//! first step after a resume, and dropped on suspend and on any step that
+//! does not commit, so uncommitted state is never reused.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use pwu_apps::{Hypre, Kripke};
-use pwu_core::checkpoint::{split_verified_body, with_integrity_footer, GenerationStore};
-use pwu_core::{step_once, ActiveCheckpoint, ActiveConfig, RefitMode, Strategy};
+use pwu_core::checkpoint::{
+    split_verified_body, sync_parent_dir, with_integrity_footer, write_durable, GenerationStore,
+};
+use pwu_core::{ActiveCheckpoint, ActiveConfig, CheckpointError, LiveLoop, RefitMode, Strategy};
 use pwu_forest::{FitMode, ForestConfig};
-use pwu_space::{FeatureMatrix, FeatureSchema, Pool, TuningTarget};
+use pwu_space::{Configuration, FeatureMatrix, FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{EvalCache, Kernel};
 use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
@@ -119,7 +129,7 @@ impl SessionTarget {
 ///
 /// The pool and test set are *not* persisted: they are pure functions of
 /// `(target, pool_n, test_n, seed)` — the checkpoint holds the remaining
-/// pool, and the test set is regenerated on every load.
+/// pool, and the test set is regenerated once per residency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Benchmark name (a SPAPT kernel, `kripke` or `hypre`).
@@ -383,16 +393,37 @@ impl SessionSpec {
     /// uses, and a pure function of the spec.
     #[must_use]
     pub fn materialize(&self, target: &dyn TuningTarget) -> (Pool, FeatureMatrix, Vec<f64>) {
+        let (pool_cfgs, test_cfgs) = self.draw(target);
+        let (test_features, test_labels) = label_test_set(target, &test_cfgs);
         let space = target.space();
-        let schema = FeatureSchema::for_space(space);
-        let mut rng = Xoshiro256PlusPlus::new(derive_seed(self.seed, 7));
-        let all = space.sample_distinct(self.pool_n + self.test_n, &mut rng);
-        let (pool_cfgs, test_cfgs) = all.split_at(self.pool_n);
-        let pool = Pool::new(space, &schema, pool_cfgs.to_vec());
-        let test_features = schema.encode_matrix(space, test_cfgs);
-        let test_labels: Vec<f64> = test_cfgs.iter().map(|c| target.ideal_time(c)).collect();
+        let pool = Pool::new(space, &FeatureSchema::for_space(space), pool_cfgs);
         (pool, test_features, test_labels)
     }
+
+    /// The test half of [`SessionSpec::materialize`]: what a restored
+    /// session needs, since its remaining pool comes from the checkpoint.
+    fn test_set(&self, target: &dyn TuningTarget) -> (FeatureMatrix, Vec<f64>) {
+        let (_, test_cfgs) = self.draw(target);
+        label_test_set(target, &test_cfgs)
+    }
+
+    /// The spec's `pool_n + test_n` distinct draws, split pool-first.
+    fn draw(&self, target: &dyn TuningTarget) -> (Vec<Configuration>, Vec<Configuration>) {
+        let mut rng = Xoshiro256PlusPlus::new(derive_seed(self.seed, 7));
+        let mut pool_cfgs = target
+            .space()
+            .sample_distinct(self.pool_n + self.test_n, &mut rng);
+        let test_cfgs = pool_cfgs.split_off(self.pool_n);
+        (pool_cfgs, test_cfgs)
+    }
+}
+
+/// Encodes a test split and labels it with the target's ideal times.
+fn label_test_set(target: &dyn TuningTarget, test_cfgs: &[Configuration]) -> (FeatureMatrix, Vec<f64>) {
+    let space = target.space();
+    let features = FeatureSchema::for_space(space).encode_matrix(space, test_cfgs);
+    let labels = test_cfgs.iter().map(|c| target.ideal_time(c)).collect();
+    (features, labels)
 }
 
 /// What one watchdogged step attempt produced.
@@ -408,14 +439,78 @@ pub struct StepReport {
     pub state: SessionState,
 }
 
+/// What a resident session keeps between steps: the run in flight, always
+/// equal to the committed checkpoint, and the test set it evaluates on.
+#[derive(Debug)]
+struct Resident {
+    live: LiveLoop,
+    test_features: FeatureMatrix,
+    test_labels: Vec<f64>,
+}
+
+impl Resident {
+    /// Rebuilds the run a committed checkpoint describes: restore the live
+    /// loop (re-encode, replay fit) and re-materialize the test set.
+    fn restore(
+        spec: &SessionSpec,
+        target: &dyn TuningTarget,
+        checkpoint: &ActiveCheckpoint,
+    ) -> Result<Self, CheckpointError> {
+        let live = LiveLoop::restore(target, &spec.active_config(), checkpoint)?;
+        let (test_features, test_labels) = {
+            let _span = materialize_span(0, spec.test_n);
+            spec.test_set(target)
+        };
+        Ok(Self {
+            live,
+            test_features,
+            test_labels,
+        })
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.live.approx_bytes() + self.test_features.approx_bytes() + 8 * self.test_labels.capacity()
+    }
+}
+
+/// The span around (re)building a session's pool and test set.
+fn materialize_span(pool: usize, test: usize) -> pwu_obs::Span {
+    pwu_obs::span(
+        "serve.materialize",
+        [
+            ("pool", pwu_obs::Arg::u(pool as u64)),
+            ("test", pwu_obs::Arg::u(test as u64)),
+        ],
+    )
+}
+
+/// Persists `checkpoint` as the store's next generation, encoding it once.
+/// Returns the generation number and the digest of the bytes written.
+fn persist(
+    store: &GenerationStore,
+    checkpoint: &ActiveCheckpoint,
+) -> Result<(u64, u64), ProtocolError> {
+    let _span = pwu_obs::span(
+        "serve.persist",
+        [("iter", pwu_obs::Arg::u(checkpoint.iteration))],
+    );
+    let encoded = checkpoint.encode();
+    let generation = store.save_encoded(&encoded).map_err(|e| internal(&e))?;
+    Ok((generation, encoded.digest()))
+}
+
 /// One hosted session.
 #[derive(Debug)]
 pub struct Session {
     spec: SessionSpec,
     target: SessionTarget,
     store: GenerationStore,
-    /// The in-memory checkpoint; `None` while suspended/unloaded.
-    checkpoint: Option<ActiveCheckpoint>,
+    /// The committed checkpoint and the FNV-1a digest of its text, taken
+    /// from the bytes that were persisted; `None` while suspended/unloaded.
+    checkpoint: Option<(ActiveCheckpoint, u64)>,
+    /// The run in flight while resident; `None` until the first step after
+    /// a resume, after suspend and after any step that did not commit.
+    resident: Option<Resident>,
     state: SessionState,
     /// Consecutive over-budget step attempts.
     strikes: usize,
@@ -428,7 +523,8 @@ const META_FILE: &str = "meta.pwu";
 
 impl Session {
     /// Creates a brand-new session under `dir`: runs the cold start, writes
-    /// `meta.pwu` and persists generation 0.
+    /// `meta.pwu` and persists generation 0. The session comes up resident,
+    /// its live loop and test set ready for the first step.
     ///
     /// # Errors
     /// Returns a typed error for bad specs and an [`ErrorKind::Internal`]
@@ -436,7 +532,10 @@ impl Session {
     pub fn create(dir: &Path, spec: SessionSpec) -> Result<Self, ProtocolError> {
         spec.validate()?;
         let target = SessionTarget::by_name(&spec.target)?;
-        let (pool, test_features, test_labels) = spec.materialize(target.as_target());
+        let (pool, test_features, test_labels) = {
+            let _span = materialize_span(spec.pool_n, spec.test_n);
+            spec.materialize(target.as_target())
+        };
         if pool.len() < spec.n_max {
             return Err(ProtocolError::new(
                 ErrorKind::BadRequest,
@@ -447,28 +546,35 @@ impl Session {
                 ),
             ));
         }
-        let config = spec.active_config();
-        let checkpoint = pwu_core::bootstrap(
+        let live = LiveLoop::bootstrap(
             target.as_target(),
-            &config,
+            &spec.active_config(),
             pool,
             &test_features,
             &test_labels,
             spec.seed,
         );
-        fs::create_dir_all(dir).map_err(|e| internal_io(&e))?;
-        fs::write(
-            dir.join(META_FILE),
-            with_integrity_footer(&spec.to_text()),
+        fs::create_dir_all(dir)
+            .and_then(|()| sync_parent_dir(dir))
+            .map_err(|e| internal_io(&e))?;
+        write_durable(
+            &dir.join(META_FILE),
+            with_integrity_footer(&spec.to_text()).as_bytes(),
         )
         .map_err(|e| internal_io(&e))?;
         let store = GenerationStore::new(dir);
-        let generation = store.save(&checkpoint).map_err(|e| internal(&e))?;
+        let checkpoint = live.checkpoint();
+        let (generation, digest) = persist(&store, &checkpoint)?;
         Ok(Self {
             spec,
             target,
             store,
-            checkpoint: Some(checkpoint),
+            checkpoint: Some((checkpoint, digest)),
+            resident: Some(Resident {
+                live,
+                test_features,
+                test_labels,
+            }),
             state: SessionState::Active,
             strikes: 0,
             generation,
@@ -477,8 +583,8 @@ impl Session {
 
     /// Attaches to an existing session directory after a restart: reads and
     /// verifies `meta.pwu`, but does *not* load a checkpoint — the session
-    /// comes up [`SessionState::Suspended`] and a `resume` pays for the
-    /// load + refit.
+    /// comes up [`SessionState::Suspended`]; a `resume` pays for the load
+    /// and the first step after it for the rebuild.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when the spec file is
@@ -496,6 +602,7 @@ impl Session {
             target,
             store,
             checkpoint: None,
+            resident: None,
             state: SessionState::Suspended,
             strikes: 0,
             generation,
@@ -526,6 +633,20 @@ impl Session {
         self.checkpoint.is_some()
     }
 
+    /// Approximate heap bytes of the live state (live loop and test set);
+    /// 0 when the session holds none.
+    #[must_use]
+    pub fn live_bytes(&self) -> usize {
+        self.resident.as_ref().map_or(0, Resident::approx_bytes)
+    }
+
+    /// Drops the live state and returns the bytes it held. The committed
+    /// checkpoint stays loaded, and the next step rebuilds the live state
+    /// from it, bit-identically.
+    pub fn shed_live(&mut self) -> usize {
+        self.resident.take().map_or(0, |r| r.approx_bytes())
+    }
+
     /// The newest durable generation number.
     #[must_use]
     pub fn generation(&self) -> u64 {
@@ -542,27 +663,30 @@ impl Session {
     /// durable value).
     #[must_use]
     pub fn iteration(&self) -> u64 {
-        self.checkpoint.as_ref().map_or(0, |c| c.iteration)
+        self.checkpoint().map_or(0, |c| c.iteration)
     }
 
     /// The loaded checkpoint, if resident.
     #[must_use]
     pub fn checkpoint(&self) -> Option<&ActiveCheckpoint> {
-        self.checkpoint.as_ref()
+        self.checkpoint.as_ref().map(|(c, _)| c)
     }
 
     /// FNV-1a digest of the loaded checkpoint's text — the bit-identity
-    /// fingerprint the chaos harness compares across kills.
+    /// fingerprint the chaos harness compares across kills. It is the
+    /// checksum in the committed generation's footer, so reading it costs
+    /// nothing.
     #[must_use]
     pub fn digest(&self) -> Option<String> {
         self.checkpoint
             .as_ref()
-            .map(|c| format!("{:016x}", pwu_core::fnv1a64(c.to_text().as_bytes())))
+            .map(|(_, digest)| format!("{digest:016x}"))
     }
 
     /// Resumes the session from its last durable generation (also clears a
     /// degraded session's strikes — resume is the recovery path). Returns
-    /// how many damaged generations were rolled back.
+    /// how many damaged generations were rolled back. Stays lazy: the live
+    /// loop and test set are rebuilt by the next step, not here.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when no generation survives
@@ -581,7 +705,8 @@ impl Session {
         let done = recovered.checkpoint.train_configs.len() >= self.spec.n_max
             || recovered.checkpoint.pool_configs.is_empty();
         self.generation = recovered.generation;
-        self.checkpoint = Some(recovered.checkpoint);
+        self.checkpoint = Some((recovered.checkpoint, recovered.digest));
+        self.resident = None;
         self.strikes = 0;
         self.state = if done {
             SessionState::Done
@@ -591,13 +716,14 @@ impl Session {
         Ok(recovered.rolled_back)
     }
 
-    /// Suspends the session: drops the in-memory checkpoint (already
-    /// durable — every committed step persisted a generation) and clears
-    /// the warm eval-cache memo. Suspending a done/degraded session just
-    /// unloads it; its state token is preserved on resume via the durable
-    /// checkpoint.
+    /// Suspends the session: drops the in-memory checkpoint and live loop
+    /// (already durable — every committed step persisted a generation) and
+    /// clears the warm eval-cache memo. Suspending a done/degraded session
+    /// just unloads it; its state token is preserved on resume via the
+    /// durable checkpoint.
     pub fn suspend(&mut self) {
         self.checkpoint = None;
+        self.resident = None;
         if let Some(cache) = self.target.cache() {
             cache.clear();
         }
@@ -608,17 +734,22 @@ impl Session {
 
     /// Attempts one watchdogged step.
     ///
-    /// The step runs against the loaded checkpoint and is *pure* until
-    /// commit: a panic (isolated with `catch_unwind`) or an over-deadline
-    /// cost discards the outcome, leaves the durable state untouched and
-    /// records a strike; exhausting the grace budget degrades the session.
-    /// A committed step replaces the checkpoint and persists it as the next
-    /// generation.
+    /// The step advances the resident live loop by one iteration, first
+    /// rebuilding it from the committed checkpoint if the session has none
+    /// (the first step after a resume, or after a step that did not
+    /// commit). It is *pure* until commit: a panic (isolated with
+    /// `catch_unwind`) or an over-deadline cost drops the live loop,
+    /// leaves the checkpoint and the durable state untouched and records a
+    /// strike; exhausting the grace budget degrades the session. A
+    /// committed step encodes the new checkpoint once, persists it as the
+    /// next generation and reports the digest of those bytes.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::BadState`] error unless the session is
     /// `Active`, a [`ErrorKind::Degraded`] error when this attempt degraded
-    /// it, and an [`ErrorKind::Internal`] error when persisting fails.
+    /// it, an [`ErrorKind::Corrupt`] error when the checkpoint does not
+    /// match the spec, and an [`ErrorKind::Internal`] error when persisting
+    /// fails.
     pub fn step(&mut self, watchdog: &WatchdogPolicy) -> Result<StepReport, ProtocolError> {
         match self.state {
             SessionState::Active => {}
@@ -637,29 +768,28 @@ impl Session {
                 ))
             }
         }
-        let checkpoint = self
+        let (checkpoint, _) = self
             .checkpoint
             .as_ref()
             .expect("active session must be resident");
-        let config = self.spec.active_config();
-        let (_, test_features, test_labels) = {
-            // The pool half of materialize is wasted here; it is small (the
-            // checkpoint's remaining pool is what actually matters) and
-            // keeping one code path is worth more than the clone.
-            self.spec.materialize(self.target.as_target())
-        };
+        // Taken, not borrowed: every exit but a commit leaves it dropped.
+        let resident = self.resident.take();
+        let (spec, target) = (&self.spec, self.target.as_target());
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            step_once(
-                self.target.as_target(),
-                self.spec.strategy,
-                &config,
-                checkpoint,
-                &test_features,
-                &test_labels,
-            )
+            let mut resident = match resident {
+                Some(r) => r,
+                None => Resident::restore(spec, target, checkpoint)?,
+            };
+            let step_cost = resident.live.step(
+                target,
+                spec.strategy,
+                &resident.test_features,
+                &resident.test_labels,
+            );
+            Ok::<_, CheckpointError>((resident, step_cost))
         }));
-        let outcome = match attempt {
-            Ok(Ok(outcome)) => outcome,
+        let (resident, step_cost) = match attempt {
+            Ok(Ok(stepped)) => stepped,
             Ok(Err(e)) => {
                 // A mismatch between spec and checkpoint means the durable
                 // state cannot be trusted.
@@ -676,7 +806,7 @@ impl Session {
                 ));
             }
         };
-        if watchdog.busted(outcome.step_cost, self.strikes) {
+        if watchdog.busted(step_cost, self.strikes) {
             self.strikes += 1;
             if watchdog.exhausted(self.strikes) {
                 self.state = SessionState::Degraded;
@@ -684,7 +814,7 @@ impl Session {
                     ErrorKind::Degraded,
                     format!(
                         "step cost {} busted the deadline {} on strike {}; session degraded",
-                        outcome.step_cost,
+                        step_cost,
                         watchdog.allowed(self.strikes - 1),
                         self.strikes
                     ),
@@ -693,20 +823,26 @@ impl Session {
             return Ok(StepReport {
                 committed: false,
                 done: false,
-                step_cost: outcome.step_cost,
+                step_cost,
                 state: self.state,
             });
         }
         self.strikes = 0;
-        self.generation = self.store.save(&outcome.checkpoint).map_err(|e| internal(&e))?;
-        self.checkpoint = Some(outcome.checkpoint);
-        if outcome.done {
+        let done = resident.live.is_done();
+        let checkpoint = resident.live.checkpoint();
+        let (generation, digest) = persist(&self.store, &checkpoint)?;
+        self.generation = generation;
+        self.checkpoint = Some((checkpoint, digest));
+        if done {
+            // A finished run never steps again: free its live state.
             self.state = SessionState::Done;
+        } else {
+            self.resident = Some(resident);
         }
         Ok(StepReport {
             committed: true,
-            done: outcome.done,
-            step_cost: outcome.step_cost,
+            done,
+            step_cost,
             state: self.state,
         })
     }
@@ -806,6 +942,57 @@ mod tests {
         ] {
             assert_eq!(broken.validate().unwrap_err().kind, ErrorKind::BadRequest);
         }
+    }
+
+    /// Steps `session` to done, returning each committed step's digest.
+    fn digests_to_done(session: &mut Session) -> Vec<String> {
+        let mut digests = Vec::new();
+        while session.state() != SessionState::Done {
+            let report = session.step(&WatchdogPolicy::default()).unwrap();
+            assert!(report.committed);
+            digests.push(session.digest().unwrap());
+        }
+        digests
+    }
+
+    #[test]
+    fn a_panicking_step_degrades_drops_the_live_loop_and_resume_rejoins_the_chain() {
+        let root = std::env::temp_dir().join(format!("pwu-session-panic-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let spec = SessionSpec {
+            target: "adi".into(),
+            n_init: 4,
+            n_batch: 2,
+            n_max: 10,
+            repeats: 1,
+            n_trees: 8,
+            eval_every: 1,
+            pool_n: 40,
+            test_n: 20,
+            seed: 42,
+            ..SessionSpec::default()
+        };
+        let reference = digests_to_done(&mut Session::create(&root.join("ref"), spec.clone()).unwrap());
+        assert_eq!(reference.len(), 3);
+
+        let mut session = Session::create(&root.join("s"), spec).unwrap();
+        assert!(session.step(&WatchdogPolicy::default()).unwrap().committed);
+        assert_eq!(session.digest().as_ref(), Some(&reference[0]));
+        let (generation, digest) = (session.generation(), session.digest());
+        // Poison the live test set: the next evaluation panics after the
+        // iteration has already selected, measured and refit.
+        session.resident.as_mut().unwrap().test_labels.pop();
+        let err = session.step(&WatchdogPolicy::default()).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Degraded);
+        assert_eq!(session.state(), SessionState::Degraded);
+        assert!(session.resident.is_none(), "the half-stepped live loop must be dropped");
+        assert_eq!((session.generation(), session.digest()), (generation, digest));
+
+        assert_eq!(session.resume().unwrap(), 0);
+        assert!(session.resident.is_none(), "resume stays lazy");
+        assert_eq!(digests_to_done(&mut session), reference[1..]);
+        assert!(session.resident.is_none(), "a finished run frees its live loop");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

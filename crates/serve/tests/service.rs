@@ -60,26 +60,10 @@ fn assert_err(fields: &Fields, kind: ErrorKind) {
     );
 }
 
-#[test]
-fn served_session_is_bit_identical_to_the_core_loop() {
-    let dir = tmp("identity");
-    let mut server = server_at(&dir);
-    let created = send(&mut server, &create_line("s1", "adi", 42));
-    assert_eq!(created.str("state"), Some("active"));
-
-    // Drive the served session to done.
-    let mut served_digests = Vec::new();
-    loop {
-        let r = send(&mut server, r#"{"cmd":"step","session":"s1","n":1}"#);
-        served_digests.push(r.str("digest").unwrap().to_string());
-        if r.str("state") == Some("done") {
-            break;
-        }
-    }
-
-    // The same run straight through the core API.
-    let spec = small_spec("adi", 42);
-    let target = pwu_serve::SessionTarget::by_name("adi").unwrap();
+/// The digest after every step of the core recovery path
+/// (`bootstrap` + a `step_once` chain) for `spec`.
+fn core_digests(spec: &SessionSpec) -> Vec<String> {
+    let target = pwu_serve::SessionTarget::by_name(&spec.target).unwrap();
     let (pool, test_features, test_labels) = spec.materialize(target.as_target());
     let config = spec.active_config();
     let mut checkpoint = pwu_core::bootstrap(
@@ -90,7 +74,7 @@ fn served_session_is_bit_identical_to_the_core_loop() {
         &test_labels,
         spec.seed,
     );
-    let mut core_digests = Vec::new();
+    let mut digests = Vec::new();
     loop {
         let out = pwu_core::step_once(
             target.as_target(),
@@ -102,15 +86,208 @@ fn served_session_is_bit_identical_to_the_core_loop() {
         )
         .unwrap();
         checkpoint = out.checkpoint;
-        core_digests.push(format!(
+        digests.push(format!(
             "{:016x}",
             pwu_core::fnv1a64(checkpoint.to_text().as_bytes())
         ));
         if out.done {
-            break;
+            return digests;
         }
     }
-    assert_eq!(served_digests, core_digests);
+}
+
+/// Drives session `id` to done with one-step requests, calling
+/// `before(server, k)` ahead of the `k`-th request. Returns the digest of
+/// every committed step and the number of requests that committed nothing.
+fn served_digests(
+    server: &mut Server,
+    id: &str,
+    mut before: impl FnMut(&mut Server, usize),
+) -> (Vec<String>, usize) {
+    let step = format!(r#"{{"cmd":"step","session":"{id}","n":1}}"#);
+    let mut digests = Vec::new();
+    let mut uncommitted = 0;
+    for k in 0..100 {
+        before(server, k);
+        let r = send(server, &step);
+        assert_eq!(r.str("error"), None, "{r:?}");
+        if r.u64("steps") == Some(1) {
+            digests.push(r.str("digest").unwrap().to_string());
+        } else {
+            uncommitted += 1;
+        }
+        if r.str("state") == Some("done") {
+            return (digests, uncommitted);
+        }
+    }
+    panic!("session {id} never finished");
+}
+
+/// The resident chain (one live loop per session, stepped in place) must
+/// be bit-identical to the core recovery chain, including across every
+/// event that drops the live loop and forces a rebuild from the committed
+/// checkpoint. Panicking steps are covered by the session unit tests and
+/// fault-injecting targets by the core `fault_tolerance` suite.
+#[test]
+fn served_session_is_bit_identical_to_the_core_loop() {
+    let spec = small_spec("adi", 42);
+    let expected = core_digests(&spec);
+    assert_eq!(expected.len(), 3);
+    let suspend = r#"{"cmd":"suspend","session":"s1"}"#;
+    let resume = r#"{"cmd":"resume","session":"s1"}"#;
+
+    // Straight through, and with a suspend + resume mid-run.
+    for suspend_at in [None, Some(1)] {
+        let dir = tmp("identity");
+        let mut server = server_at(&dir);
+        let created = send(&mut server, &create_line("s1", "adi", 42));
+        assert_eq!(created.str("state"), Some("active"));
+        let (digests, _) = served_digests(&mut server, "s1", |server, k| {
+            if Some(k) == suspend_at {
+                let r = send(server, suspend);
+                assert_eq!(r.get("resident"), Some(&pwu_serve::protocol::Value::Bool(false)));
+                let r = send(server, resume);
+                assert_eq!(r.str("state"), Some("active"));
+            }
+        });
+        assert_eq!(digests, expected, "suspend at {suspend_at:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // Every step busts a zero deadline once and is shed, then its retry
+    // (allowed a huge backoff) commits.
+    let dir = tmp("identity-shed");
+    let watchdog = WatchdogPolicy {
+        max_step_cost: 0.0,
+        grace: RetryPolicy {
+            max_retries: 1,
+            backoff_cost: 1e12,
+        },
+    };
+    let mut server = Server::open(&dir, AdmissionPolicy::default(), watchdog).unwrap();
+    send(&mut server, &create_line("s1", "adi", 42));
+    let (digests, shed) = served_digests(&mut server, "s1", |_, _| {});
+    assert_eq!(digests, expected, "shed and retried");
+    assert_eq!(shed, expected.len());
+    let _ = fs::remove_dir_all(&dir);
+
+    // No warm memo allowed: every step's eval-cache memo is evicted.
+    let dir = tmp("identity-lru");
+    let admission = AdmissionPolicy {
+        max_warm_caches: 0,
+        ..AdmissionPolicy::default()
+    };
+    let mut server = Server::open(&dir, admission, WatchdogPolicy::default()).unwrap();
+    send(&mut server, &create_line("s1", "adi", 42));
+    let (digests, _) = served_digests(&mut server, "s1", |_, _| {});
+    assert_eq!(digests, expected, "memo evicted every step");
+    let stats = send(&mut server, r#"{"cmd":"stats"}"#);
+    assert!(stats.u64("cache_evictions").unwrap() >= expected.len() as u64);
+    let _ = fs::remove_dir_all(&dir);
+
+    // No cache bytes allowed: the live state is shed after every step and
+    // every step rebuilds it from the committed checkpoint.
+    let dir = tmp("identity-shed-live");
+    let admission = AdmissionPolicy {
+        max_cache_bytes: 0,
+        ..AdmissionPolicy::default()
+    };
+    let mut server = Server::open(&dir, admission, WatchdogPolicy::default()).unwrap();
+    send(&mut server, &create_line("s1", "adi", 42));
+    let (digests, _) = served_digests(&mut server, "s1", |server, _| {
+        let q = send(server, r#"{"cmd":"query","session":"s1"}"#);
+        assert_eq!(q.u64("live_bytes"), Some(0));
+    });
+    assert_eq!(digests, expected, "live state shed every step");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Memo plus live bytes of every session, from `query`.
+fn cache_and_live_bytes(server: &mut Server, ids: &[&str]) -> Vec<u64> {
+    ids.iter()
+        .map(|id| {
+            let q = send(server, &format!(r#"{{"cmd":"query","session":"{id}"}}"#));
+            q.u64("cache_bytes").unwrap() + q.u64("live_bytes").unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn live_state_stays_under_the_byte_budget_coldest_first() {
+    let ids = ["cold", "hot"];
+    let requests = [
+        create_line("cold", "adi", 1),
+        create_line("hot", "adi", 2),
+        r#"{"cmd":"step","session":"hot","n":1}"#.to_string(),
+        r#"{"cmd":"step","session":"cold","n":1}"#.to_string(),
+        r#"{"cmd":"step","session":"hot","n":1}"#.to_string(),
+    ];
+    // Unbounded reference: both sessions stay live.
+    let dir = tmp("live-budget-ref");
+    let mut server = server_at(&dir);
+    let reference: Vec<Fields> = requests.iter().map(|r| send(&mut server, r)).collect();
+    let sizes = cache_and_live_bytes(&mut server, &ids);
+    assert!(sizes.iter().all(|&b| b > 0), "{sizes:?}");
+    let _ = fs::remove_dir_all(&dir);
+
+    // Room for one session's memo and live state, not two.
+    let budget = sizes.iter().max().unwrap() * 3 / 2;
+    assert!(budget < sizes.iter().sum::<u64>());
+    let dir = tmp("live-budget");
+    let admission = AdmissionPolicy {
+        max_cache_bytes: usize::try_from(budget).unwrap(),
+        ..AdmissionPolicy::default()
+    };
+    let mut server = Server::open(&dir, admission, WatchdogPolicy::default()).unwrap();
+    for (request, expected) in requests.iter().zip(&reference) {
+        let r = send(&mut server, request);
+        assert_eq!(r.str("digest"), expected.str("digest"), "{request}");
+        let present: Vec<&str> = ids.into_iter().filter(|id| server.session(id).is_some()).collect();
+        let bytes = cache_and_live_bytes(&mut server, &present);
+        assert!(bytes.iter().sum::<u64>() <= budget, "{request}: {bytes:?} over {budget}");
+        // Only the session just touched keeps its live state.
+        for id in present {
+            let live = server.session(id).unwrap().live_bytes() > 0;
+            let touched = request.contains(&format!(r#""session":"{id}""#));
+            assert_eq!(live, touched, "{request}: {id}");
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn create_rejects_malformed_seed_and_alpha_with_typed_errors() {
+    let dir = tmp("malformed");
+    let mut server = server_at(&dir);
+    let create = |extra: &str| {
+        format!(r#"{{"cmd":"create","session":"m","target":"adi","pool_n":40,"test_n":20,"n_max":10,"n_init":4{extra}}}"#)
+    };
+    for extra in [
+        r#","seed":-1"#,
+        r#","seed":1.5"#,
+        r#","seed":9007199254740992"#,
+        r#","seed":9007199254740993"#,
+        r#","seed":1e300"#,
+        r#","seed":"7""#,
+        r#","seed":true"#,
+        r#","alpha":"0.1""#,
+        r#","alpha":null"#,
+        r#","n_trees":"8""#,
+        r#","strategy":1"#,
+        r#","fit_mode":0"#,
+        r#","repeats":-3"#,
+    ] {
+        let line = create(extra);
+        let r = send(&mut server, &line);
+        assert_eq!(r.str("error"), Some("bad-request"), "{line} -> {r:?}");
+        assert!(server.session("m").is_none(), "{line} created a session");
+    }
+    // The largest seed the wire carries exactly is accepted and kept.
+    let r = send(&mut server, &create(r#","seed":9007199254740991,"alpha":0.25"#));
+    assert_eq!(r.str("state"), Some("active"), "{r:?}");
+    let spec = server.session("m").unwrap().spec();
+    assert_eq!(spec.seed, (1 << 53) - 1);
+    assert_eq!(spec.alpha, 0.25);
     let _ = fs::remove_dir_all(&dir);
 }
 

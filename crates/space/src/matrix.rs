@@ -60,6 +60,12 @@ impl FeatureMatrix {
         self.cols.len()
     }
 
+    /// Approximate heap bytes held by the feature values.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.cols.iter().map(|c| c.capacity() * 8).sum()
+    }
+
     /// True when the matrix holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
