@@ -177,12 +177,12 @@ fn bench_predict_batch(samples: usize) -> Row {
 }
 
 /// The fast *predict* engine vs the same fast-fitted trees scored through
-/// the exact pointer-descent kernel: both sides hold bitwise-identical
-/// trees (the baseline is the optimized forest retagged
-/// [`FitMode::Exact`], which drops only the flat predict layout), so the
-/// ratio isolates the flat-node layout + blocked descent + lane fold from
-/// any fit-side difference. This is "the current fast engine (exact
-/// predict)" baseline: what PR 9 shipped.
+/// the frozen pointer-descent kernel ([`reference::predict_batch_pointer`],
+/// the batch kernel exact forests used before the flat layout served every
+/// forest): both sides hold bitwise-identical trees, so the ratio isolates
+/// the flat-node layout + blocked descent + lane fold from any fit-side
+/// difference. This is "the current fast engine (exact predict)" baseline:
+/// what PR 9 shipped.
 fn bench_fast_predict_batch(samples: usize) -> Row {
     let d = 12;
     let (_, x, y) = data(500, d, 21);
@@ -192,12 +192,11 @@ fn bench_fast_predict_batch(samples: usize) -> Row {
         ..ForestConfig::default()
     };
     let fast = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 3);
-    let exact_kernel = fast.clone().with_fit_mode(FitMode::Exact);
     let (_, pool, _) = data(4000, d, 22);
     let (baseline_ns, optimized_ns) = time_pair(
         samples,
         || {
-            std::hint::black_box(exact_kernel.predict_batch(&pool));
+            std::hint::black_box(reference::predict_batch_pointer(&fast, &pool));
         },
         || {
             std::hint::black_box(fast.predict_batch(&pool));
@@ -211,12 +210,14 @@ fn bench_fast_predict_batch(samples: usize) -> Row {
 }
 
 /// One `RefitMode::Partial(8)` iteration at fast-engine settings, flat
-/// predict on vs off: both sides fast-fit 8 replacement trees and rescore
-/// the pool through the incremental [`PoolScoreCache`]; the baseline keeps
-/// the pointer predict kernel (`with_flat_predict(false)` — the pre-flat
-/// fast engine), the optimized side refreshes and folds through the flat
-/// layout. The remaining gap is exactly what the flat predict path buys an
-/// end-to-end tuning iteration.
+/// predict vs the frozen pointer kernel: both sides fast-fit 8 replacement
+/// trees and rescore the pool from cached per-tree columns. The baseline
+/// refreshes the columns through the pointer kernel
+/// ([`reference::predict_columns_pointer`]) and folds them by the per-row
+/// serial gather ([`reference::fold_columns_rowwise`]) — the pre-flat fast
+/// engine; the optimized side is the [`PoolScoreCache`], refreshing and
+/// folding through the flat layout. The remaining gap is exactly what the
+/// flat predict path buys an end-to-end tuning iteration.
 ///
 /// The pool is 16k points — the large-candidate-pool regime that motivates
 /// the flat path (μ/σ over the whole pool every refit, on spaces whose
@@ -237,8 +238,9 @@ fn bench_fast_tuning_iteration(samples: usize) -> Row {
     };
     let forest = RandomForest::fit(&config, &kinds, &train, &y, 5);
 
-    let mut base_forest = forest.clone().with_flat_predict(false);
-    let mut base_cache = PoolScoreCache::build(&base_forest, &pool);
+    let all: Vec<usize> = (0..forest.trees().len()).collect();
+    let mut base_forest = forest.clone();
+    let mut base_cols = reference::predict_columns_pointer(&base_forest, &pool, &all);
     let mut base_step = 0u64;
     let mut opt_forest = forest;
     let mut opt_cache = PoolScoreCache::build(&opt_forest, &pool);
@@ -248,8 +250,11 @@ fn bench_fast_tuning_iteration(samples: usize) -> Row {
         || {
             base_step += 1;
             let refitted = base_forest.update(&kinds, &train, &y, 8, base_step);
-            base_cache.refresh(&base_forest, &pool, &refitted);
-            std::hint::black_box(base_cache.predictions());
+            let fresh = reference::predict_columns_pointer(&base_forest, &pool, &refitted);
+            for (&t, col) in refitted.iter().zip(fresh) {
+                base_cols[t] = col;
+            }
+            std::hint::black_box(reference::fold_columns_rowwise(&base_cols, pool.n_rows()));
         },
         || {
             opt_step += 1;

@@ -8,49 +8,44 @@
 //! `O(pool · n_refit)` refresh for the regrown trees plus an `O(pool ·
 //! n_trees)` fold — no tree traversals for the unchanged majority.
 //!
-//! The fold replicates whatever ensemble fold the model's predict kernel
-//! uses, so the cached scores are **bit-identical** to a fresh
-//! [`RandomForest::predict_batch`] call (asserted in tests and by the golden
-//! trajectory snapshot): the serial tree-order `sum`/`sum_sq` recurrence of
-//! [`RandomForest::predict_one`] for exact-kernel models, the lane fold
-//! ([`pwu_forest::fold_lanes`]) for fast-predict models. Which fold applies
-//! is recorded from [`RandomForest::fast_predict`] at build time and
-//! **resynchronized on every refresh** — an in-process
-//! `RandomForest::with_fit_mode` swap changes the model's fold without
-//! touching the trees, and a cache that kept folding the old way would
-//! serve stale scores (regression-tested in `fast_equivalence`). The
-//! resync alone is sufficient: per-tree columns are kernel-invariant
-//! bitwise (flat and pointer descents land on the same leaves), so only
-//! the fold needs to follow the mode. Pool removals are mirrored with the
-//! same descending-index `swap_remove` sequence
-//! [`Pool::take`](pwu_space::Pool::take) uses, keeping cache rows aligned
-//! with pool rows — including when a row leaves the pool for quarantine
-//! rather than the training set.
+//! The fold replicates the ensemble fold of the model's batch predictions
+//! ([`RandomForest::fold`]), so the cached scores are **bit-identical** to a
+//! fresh [`RandomForest::predict_batch`] call (asserted in tests and by the
+//! golden trajectory snapshot): the serial tree-order `sum`/`sum_sq`
+//! recurrence of [`RandomForest::predict_one`] for exact models, the lane
+//! fold ([`pwu_forest::fold_lanes`]) for fast ones. Both run through one
+//! blocked tree-outer column fold ([`pwu_forest::fold_columns`]). Which fold
+//! applies is recorded at build time and **resynchronized on every
+//! refresh** — an in-process `RandomForest::with_fit_mode` swap changes the
+//! model's fold without touching the trees, and a cache that kept folding
+//! the old way would serve stale scores (regression-tested in
+//! `fast_equivalence`). The resync alone is sufficient: per-tree columns
+//! do not depend on the fold. The pool is held once in the flat kernel's
+//! row records ([`StridedPool`]) so each refresh descends it without a
+//! transpose. Pool removals are mirrored with the same descending-index
+//! `swap_remove` sequence [`Pool::take`](pwu_space::Pool::take) uses,
+//! keeping cache rows and records aligned with pool rows — including when
+//! a row leaves the pool for quarantine rather than the training set.
 
 use pwu_forest::forest::Prediction;
-use pwu_forest::{RandomForest, StridedPool};
+use pwu_forest::{Fold, RandomForest, StridedPool};
 use pwu_space::FeatureMatrix;
-use rayon::prelude::*;
 
 /// Per-tree predictions over the remaining pool rows.
 #[derive(Debug, Clone)]
 pub struct PoolScoreCache {
     /// `per_tree[t][i]` = tree `t`'s prediction for pool row `i`.
     per_tree: Vec<Vec<f64>>,
-    n_rows: usize,
-    /// Whether the model predicts through the fast flat layout — selects
-    /// which ensemble fold [`PoolScoreCache::predictions`] replicates.
-    /// Recorded at build and resynchronized by every
+    /// The pool pre-transposed into the flat kernel's row records: the
+    /// pool is static across refit iterations apart from removals — which
+    /// [`PoolScoreCache::remove`] mirrors record-for-record — so each
+    /// refresh descends the cached records directly.
+    strided: StridedPool,
+    /// The model's ensemble fold, which [`PoolScoreCache::predictions`]
+    /// replicates. Recorded at build and resynchronized by every
     /// [`PoolScoreCache::refresh`], so a mid-session fit-mode swap cannot
     /// leave the cache folding the wrong way.
-    fast: bool,
-    /// The pool pre-transposed into the flat kernel's stride records
-    /// (`Some` only while `fast`): the pool is static across refit
-    /// iterations apart from removals — which [`PoolScoreCache::remove`]
-    /// mirrors record-for-record — so each refresh descends the cached
-    /// records directly instead of re-transposing the pool. Dropped on a
-    /// swap to the exact kernel, rebuilt by the next fast refresh.
-    strided: Option<StridedPool>,
+    fold: Fold,
 }
 
 impl PoolScoreCache {
@@ -60,26 +55,20 @@ impl PoolScoreCache {
     /// Panics if `pool` is narrower than the model's features.
     #[must_use]
     pub fn build(model: &RandomForest, pool: &FeatureMatrix) -> Self {
-        let n_rows = pool.n_rows();
         let all: Vec<usize> = (0..model.trees().len()).collect();
-        let fast = model.fast_predict();
-        let strided = if fast { StridedPool::new(pool) } else { None };
-        let per_tree = strided
-            .as_ref()
-            .and_then(|sp| model.predict_columns_strided(sp, &all))
-            .unwrap_or_else(|| model.predict_columns(pool, &all));
+        let strided = StridedPool::new(pool);
+        let per_tree = model.predict_columns_strided(&strided, &all);
         Self {
             per_tree,
-            n_rows,
-            fast,
             strided,
+            fold: model.fold(),
         }
     }
 
     /// Number of cached pool rows.
     #[must_use]
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.strided.n_rows()
     }
 
     /// Re-scores only the trees listed in `refitted` (the return value of
@@ -89,35 +78,17 @@ impl PoolScoreCache {
     /// Panics if `pool` disagrees with the cached row count or a tree index
     /// is out of range.
     pub fn refresh(&mut self, model: &RandomForest, pool: &FeatureMatrix, refitted: &[usize]) {
-        assert_eq!(pool.n_rows(), self.n_rows, "pool/cache row count mismatch");
+        assert_eq!(pool.n_rows(), self.n_rows(), "pool/cache row count mismatch");
         assert_eq!(
             model.trees().len(),
             self.per_tree.len(),
             "ensemble size changed under the cache"
         );
-        // Follow the model's current predict kernel: columns are
-        // kernel-invariant, so resyncing the fold flag is all a fit-mode
-        // swap requires — but without it, stale folds (see module docs).
-        // The strided pool follows the same resync: built on the first
-        // fast refresh (or a swap back to fast), dropped on a swap to
-        // exact so it cannot go stale while unmaintained.
-        self.fast = model.fast_predict();
-        if self.fast {
-            if self
-                .strided
-                .as_ref()
-                .is_none_or(|sp| sp.n_rows() != self.n_rows)
-            {
-                self.strided = StridedPool::new(pool);
-            }
-        } else {
-            self.strided = None;
-        }
-        let cols = self
-            .strided
-            .as_ref()
-            .and_then(|sp| model.predict_columns_strided(sp, refitted))
-            .unwrap_or_else(|| model.predict_columns(pool, refitted));
+        // Follow the model's current fold: columns do not depend on it, so
+        // resyncing is all a fit-mode swap requires — but without it, stale
+        // folds (see module docs).
+        self.fold = model.fold();
+        let cols = model.predict_columns_strided(&self.strided, refitted);
         for (&t, col) in refitted.iter().zip(cols) {
             self.per_tree[t] = col;
         }
@@ -140,56 +111,32 @@ impl PoolScoreCache {
             );
         });
         for &i in sorted.iter().rev() {
-            assert!(i < self.n_rows, "index {i} out of range");
+            assert!(i < self.n_rows(), "index {i} out of range");
             for col in &mut self.per_tree {
                 col.swap_remove(i);
             }
-            if let Some(sp) = &mut self.strided {
-                sp.swap_remove(i);
-            }
-            self.n_rows -= 1;
+            self.strided.swap_remove(i);
         }
     }
 
     /// Folds the cached per-tree predictions into `(μ, σ)` per pool row,
     /// bit-identical to [`RandomForest::predict_batch`] on the same pool:
-    /// serial tree-order accumulation for exact-kernel models, the lane
-    /// fold ([`pwu_forest::fold_lanes`]) for fast-predict models.
+    /// the blocked tree-outer column fold, serial or lane-split by the
+    /// model's fold.
     #[must_use]
     pub fn predictions(&self) -> Vec<Prediction> {
         let n = self.per_tree.len() as f64;
-        let finish = |(sum, sum_sq): (f64, f64)| {
-            let mean = sum / n;
-            let var = (sum_sq / n - mean * mean).max(0.0);
-            Prediction {
-                mean,
-                std: var.sqrt(),
-            }
-        };
-        if self.fast {
-            // Blocked tree-outer lane fold — bit-identical per row to
-            // `fold_lanes` over the row's tree-order values (see its docs),
-            // but streams each cached column sequentially instead of
-            // gathering across every column per row.
-            pwu_forest::fold_columns(&self.per_tree, self.n_rows)
-                .into_iter()
-                .map(finish)
-                .collect()
-        } else {
-            (0..self.n_rows)
-                .into_par_iter()
-                .map(|i| {
-                    let mut sum = 0.0;
-                    let mut sum_sq = 0.0;
-                    for col in &self.per_tree {
-                        let p = col[i];
-                        sum += p;
-                        sum_sq += p * p;
-                    }
-                    finish((sum, sum_sq))
-                })
-                .collect()
-        }
+        pwu_forest::fold_columns(&self.per_tree, self.n_rows(), self.fold)
+            .into_iter()
+            .map(|(sum, sum_sq)| {
+                let mean = sum / n;
+                let var = (sum_sq / n - mean * mean).max(0.0);
+                Prediction {
+                    mean,
+                    std: var.sqrt(),
+                }
+            })
+            .collect()
     }
 }
 

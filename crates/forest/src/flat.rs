@@ -1,12 +1,13 @@
-//! Flat-node fast predict layout ([`crate::hyper::FitMode::Fast`]).
+//! The flat-node batch predict kernel — the one batch kernel of every
+//! forest, exact or fast.
 //!
-//! The exact predict kernel descends the pointer-style [`Node`] arena: every
-//! step matches an enum tag, dispatches on the [`SplitRule`] variant, and
-//! branches on the routing predicate — per-node branches on top of the
-//! dependent node load, with a bounds check on every arena access. This
-//! module compiles each fitted tree **once** into a flat breadth-first
-//! layout whose descent step is fully branch-free *and* fully check-free,
-//! and batch-predicts through it:
+//! A pointer-style descent of the [`Node`] arena matches an enum tag,
+//! dispatches on the [`SplitRule`] variant and branches on the routing
+//! predicate at every step — per-node branches on top of the dependent node
+//! load, with a bounds check on every arena access. This module compiles
+//! each fitted tree **once** into a flat breadth-first layout whose descent
+//! step is branch-free (and, at the fixed strides, check-free), and
+//! batch-predicts through it:
 //!
 //! - **One small record per node**, laid out in breadth-first order so the
 //!   hot top levels of the tree share cache lines: 24 bytes
@@ -24,16 +25,21 @@
 //!   at the node itself, `thresh = +∞` forces `go_left`), so the step never
 //!   asks "is this a leaf?". The decisions are bitwise identical to
 //!   [`SplitRule::goes_left`], so a flat descent lands on exactly the leaf
-//!   the pointer descent lands on — per-tree predictions are
-//!   **kernel-invariant** (asserted by the `flat_predict` suite).
-//! - **No bounds checks on the hot path** (the workspace forbids `unsafe`,
-//!   so the checks are *eliminated structurally*): the node array is padded
-//!   to a power-of-two length and indices masked with `len - 1`, rows live
-//!   in fixed-stride `[f64; STRIDE]` records with the feature index masked
-//!   by `STRIDE - 1`, and lane ids are compile-time literals of an unrolled
-//!   [`LANES`]-wide loop — every index is provably in range, so the
-//!   optimizer drops the checks. The masks are identities (real ids and
-//!   features are always in range), so routing is unchanged bitwise.
+//!   the scalar [`RegressionTree::predict`] descent lands on — per-tree
+//!   predictions are **kernel-invariant** (asserted by the `flat_predict`
+//!   suite against the frozen pointer kernel in [`crate::reference`]).
+//! - **No bounds checks on the hot path at the fixed strides** (the
+//!   workspace forbids `unsafe`, so the checks are *eliminated
+//!   structurally*): the node array is padded to a power-of-two length and
+//!   indices masked with `len - 1`, rows live in fixed-stride `[f64; S]`
+//!   records ([`STRIDE_NARROW`] for `d <= 16`, [`STRIDE_WIDE`] for
+//!   `d <= 64`) with the feature index masked by `S - 1`, and lane ids are
+//!   compile-time literals of an unrolled [`LANES`]-wide loop — every index
+//!   is provably in range, so the optimizer drops the checks. The masks are
+//!   identities (real ids and features are always in range), so routing is
+//!   unchanged bitwise. Wider spaces (none of the paper's — SPAPT peaks at
+//!   ~20 features) run the *same* descent over one boxed record per row
+//!   with a checked feature index, so every width has one kernel.
 //! - **Per-tree adaptive node strategy**: [`FlatTree::compile`] inspects
 //!   each fitted tree once and picks its layout — trees with no
 //!   categorical node take the packed [`NumNode`] records and a descent
@@ -47,22 +53,25 @@
 //!   settled lanes' surplus steps are idempotent self-loops, cheaper than
 //!   paying the movement reduction on every level.
 //!
-//! Only the *ensemble fold* distinguishes fast batch prediction from the
-//! exact kernel: per-tree leaf means are folded through four accumulator
-//! lanes ([`fold_lanes`]) instead of one serial chain, which breaks the
-//! floating-point add dependency that bounds the exact fold. The lane
-//! assignment is a pure function of the tree index, so fast predictions stay
-//! deterministic and width/deal-order invariant — just bitwise different
-//! from the exact fold, the same freedom the fast *fit* engine already
-//! exercises (DESIGN.md §14).
+//! Only the *ensemble fold* depends on the fit mode ([`Fold`]). Exact
+//! forests fold serially: one accumulator per row, trees added in
+//! ascending order — the recurrence of `RandomForest::predict_one_at`, so
+//! exact batch predictions are bit-identical to the scalar calls. Fast
+//! forests fold through four accumulator lanes ([`fold_lanes`]), which
+//! breaks the floating-point add dependency of the serial chain. The lane
+//! assignment is a pure function of the tree index, so fast predictions
+//! stay deterministic and width/deal-order invariant — just bitwise
+//! different from the serial fold, the same freedom the fast *fit* engine
+//! already exercises (DESIGN.md §14).
 //!
 //! Two pieces serve the incremental pool-score cache's partial-refit loop:
 //! [`StridedPool`] keeps the (static) candidate pool pre-transposed into
-//! the kernel's stride records so each refresh descends it directly, and
+//! the kernel's row records so each refresh descends it directly, and
 //! [`fold_columns`] folds the cached per-tree columns blocked and
-//! tree-outer — bit-identical to [`fold_lanes`] per row, but streaming
-//! every column sequentially instead of gathering across all columns per
-//! row (the gather pattern falls out of cache at realistic pool sizes).
+//! tree-outer with either fold — bit-identical per row to the batch
+//! kernel's fold, but streaming every column sequentially instead of
+//! gathering across all columns per row (the gather pattern falls out of
+//! cache at realistic pool sizes).
 
 use rayon::prelude::*;
 
@@ -81,9 +90,9 @@ const LANES: usize = 16;
 /// lane `t % FOLD_LANES`; the lanes are combined pairwise at the end.
 const FOLD_LANES: usize = 4;
 
-/// Rows per parallel chunk (matches the exact kernel's chunking: large
-/// enough to amortize per-tree loop overhead, small enough that the chunk's
-/// row-major scratch and accumulators stay cache-resident).
+/// Rows per parallel chunk: large enough to amortize per-tree loop
+/// overhead, small enough that the chunk's row records and accumulators
+/// stay cache-resident.
 const CHUNK: usize = 512;
 
 /// Row-record stride of the narrow fixed-stride path (`d <= 16`, the
@@ -91,8 +100,8 @@ const CHUNK: usize = 512;
 const STRIDE_NARROW: usize = 16;
 
 /// Row-record stride of the wide fixed-stride path (`d <= 64`). Wider
-/// feature spaces fall back to the exact kernel's chunked pointer descent —
-/// see [`supports_width`].
+/// feature spaces take boxed records of their own width — the same
+/// descent, with a checked feature index.
 const STRIDE_WIDE: usize = 64;
 
 /// Descent levels advanced per settled-check in the all-numeric kernel.
@@ -250,20 +259,21 @@ impl FlatTree {
         }
     }
 
-    /// Routes [`LANES`] fixed-stride rows to their leaves: general step
-    /// handling numeric and categorical nodes uniformly. `idx` must start
-    /// zeroed and holds leaf node ids on return. The block exits after the
-    /// settle iteration (no lane moved); self-looping leaves make the extra
-    /// steps of already-finished lanes idempotent.
+
+    /// Routes [`LANES`] row records to their leaves: general step handling
+    /// numeric and categorical nodes uniformly. `idx` must start zeroed and
+    /// holds leaf node ids on return. The block exits after the settle
+    /// iteration (no lane moved); self-looping leaves make the extra steps
+    /// of already-finished lanes idempotent.
     #[inline]
-    fn descend_mixed<const S: usize>(&self, rows: [&[f64; S]; LANES], idx: &mut [u32; LANES]) {
+    fn descend_mixed<R: Record>(&self, rows: [&R; LANES], idx: &mut [u32; LANES]) {
         let nmask = self.nodes.len() - 1;
         loop {
             let mut moved = 0u32;
             for j in 0..LANES {
                 let cur = idx[j];
                 let nd = self.nodes[(cur as usize) & nmask];
-                let v = rows[j][(nd.feat as usize) & (S - 1)];
+                let v = rows[j].feature(nd.feat as usize);
                 // `v as u64` saturates negatives to 0; harmless — the mask
                 // is zero unless this is a categorical node, whose codes are
                 // small non-negative integers (< 64, enforced at fit time).
@@ -286,7 +296,7 @@ impl FlatTree {
     /// row gather, one compare and one add per lane per level. Bitwise
     /// identical routing (numeric nodes never consult the mask).
     #[inline]
-    fn descend_numeric<const S: usize>(&self, rows: [&[f64; S]; LANES], idx: &mut [u32; LANES]) {
+    fn descend_numeric<R: Record>(&self, rows: [&R; LANES], idx: &mut [u32; LANES]) {
         let nmask = self.num.len() - 1;
         loop {
             // BURST levels per exit check: settled lanes' extra steps are
@@ -296,7 +306,8 @@ impl FlatTree {
                 for j in 0..LANES {
                     let cur = idx[j];
                     let nd = self.num[(cur as usize) & nmask];
-                    let v = rows[j][(nd.fk as usize) & (S - 1)];
+                    #[allow(clippy::cast_possible_truncation)]
+                    let v = rows[j].feature(nd.fk as u32 as usize);
                     #[allow(clippy::cast_possible_truncation)]
                     let next = (nd.fk >> 32) as u32 + 1 - u32::from(v <= nd.thresh);
                     idx[j] = next;
@@ -306,7 +317,8 @@ impl FlatTree {
             for j in 0..LANES {
                 let cur = idx[j];
                 let nd = self.num[(cur as usize) & nmask];
-                let v = rows[j][(nd.fk as usize) & (S - 1)];
+                #[allow(clippy::cast_possible_truncation)]
+                let v = rows[j].feature(nd.fk as u32 as usize);
                 #[allow(clippy::cast_possible_truncation)]
                 let next = (nd.fk >> 32) as u32 + 1 - u32::from(v <= nd.thresh);
                 moved |= next ^ cur;
@@ -320,7 +332,7 @@ impl FlatTree {
 
     /// Dispatches a block descent on the tree's node population.
     #[inline]
-    fn descend_block<const S: usize>(&self, rows: [&[f64; S]; LANES], idx: &mut [u32; LANES]) {
+    fn descend_block<R: Record>(&self, rows: [&R; LANES], idx: &mut [u32; LANES]) {
         if self.nodes.is_empty() {
             self.descend_numeric(rows, idx);
         } else {
@@ -356,35 +368,61 @@ impl FlatTree {
     }
 }
 
-/// Whether the flat kernel covers this feature width. Spaces wider than
-/// [`STRIDE_WIDE`] (none of the paper's — SPAPT peaks at ~20 features)
-/// would need bounds-checked row gathers, so the forest skips compiling
-/// the flat layout and keeps the exact kernel, `fast_predict() == false`.
-pub(crate) fn supports_width(d: usize) -> bool {
-    d <= STRIDE_WIDE
+/// One row's features as the descent reads them.
+trait Record: Sync {
+    /// Feature `f` of the row (`f` is always below the row's width).
+    fn feature(&self, f: usize) -> f64;
 }
 
-/// Every tree of a fast-mode forest compiled to the flat layout.
-#[derive(Debug, Clone)]
-pub(crate) struct FlatForest {
-    trees: Vec<FlatTree>,
+impl<const S: usize> Record for [f64; S] {
+    /// Masked by `S - 1` (`S` is a power of two and `f < S`): an identity
+    /// the optimizer can prove in range, so the lookup carries no check.
+    #[inline]
+    fn feature(&self, f: usize) -> f64 {
+        self[f & (S - 1)]
+    }
 }
 
-/// Combines the [`FOLD_LANES`] accumulator lanes pairwise — the single
-/// place that fixes the fast fold's reduction order.
+impl Record for Box<[f64]> {
+    #[inline]
+    fn feature(&self, f: usize) -> f64 {
+        self[f]
+    }
+}
+
+/// The ensemble fold of a forest's batch predictions, chosen by its fit
+/// mode alone: [`Fold::Lanes`] for [`FitMode::Fast`] with the `fast-path`
+/// feature compiled, [`Fold::Serial`] otherwise. The per-tree values are
+/// the same either way; only the order of the floating-point adds
+/// differs.
+///
+/// [`FitMode::Fast`]: crate::FitMode::Fast
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// One accumulator per row, trees added in ascending order —
+    /// bit-identical to the scalar `RandomForest::predict_one_at`.
+    Serial,
+    /// Tree `t` into accumulator lane `t % 4`, lanes combined pairwise
+    /// ([`fold_lanes`]).
+    Lanes,
+}
+
+/// Combines the accumulator lanes in use: the serial fold's single lane as
+/// is, the [`FOLD_LANES`] lanes pairwise — the single place that fixes the
+/// fast fold's reduction order.
 #[inline]
-fn combine(l: &[f64; FOLD_LANES]) -> f64 {
-    (l[0] + l[1]) + (l[2] + l[3])
+fn combine<const L: usize>(l: &[f64; L]) -> f64 {
+    match l.as_slice() {
+        [a] => *a,
+        [a, b, c, d] => (a + b) + (c + d),
+        _ => unreachable!("folds use 1 or {FOLD_LANES} lanes"),
+    }
 }
 
 /// Folds per-tree values through [`FOLD_LANES`] accumulator lanes (tree `t`
 /// into lane `t % FOLD_LANES`, lanes combined pairwise): the fast ensemble
-/// fold. Returns `(Σv, Σv²)`. [`PoolScoreCache`] folds its cached columns
-/// through this exact function so cached fast scores stay bit-identical to
-/// a fresh fast `predict_batch` — the fold order is a pure function of the
-/// tree index, never of the schedule.
-///
-/// [`PoolScoreCache`]: ../../pwu_core/struct.PoolScoreCache.html
+/// fold, [`Fold::Lanes`]. Returns `(Σv, Σv²)`. The order is a pure function
+/// of the tree index, never of the schedule.
 pub fn fold_lanes(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
     // Pulled one lane-quad per round so each accumulator is a named local
     // (registers, four independent add chains) rather than an indexed
@@ -403,92 +441,83 @@ pub fn fold_lanes(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
     (combine(&s), combine(&ss))
 }
 
-/// Folds cached per-tree prediction columns into per-row `(Σv, Σv²)` pairs,
-/// bit-identical to calling [`fold_lanes`] on each row's tree-order values
-/// but blocked for throughput: rows are chunked, and within a chunk the
-/// loop runs **tree-outer**, streaming each column sequentially into the
-/// chunk's lane accumulators. Per lane the accumulation order is still
-/// ascending tree order — exactly [`fold_lanes`]' order — so the result is
-/// bitwise identical; what changes is the memory pattern (sequential column
-/// reads and check-free slice zips instead of a strided, bounds-checked
-/// gather across every column per row).
+/// Folds cached per-tree prediction columns into per-row `(Σv, Σv²)` pairs
+/// with `fold` — bit-identical to the batch kernel's fold of the same
+/// per-tree values, but blocked for throughput: rows are chunked, and
+/// within a chunk the loop runs **tree-outer**, streaming each column
+/// sequentially into the chunk's accumulators. Per accumulator the order is
+/// still ascending tree order, so the result is bitwise identical; what
+/// changes is the memory pattern (sequential column reads and check-free
+/// slice zips instead of a strided, bounds-checked gather across every
+/// column per row).
 ///
 /// # Panics
 /// Panics if a column's length differs from `n_rows`.
 #[must_use]
-pub fn fold_columns(columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
+pub fn fold_columns(columns: &[Vec<f64>], n_rows: usize, fold: Fold) -> Vec<(f64, f64)> {
     for col in columns {
         assert_eq!(col.len(), n_rows, "ragged prediction column");
     }
-    let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-    let per_chunk: Vec<Vec<(f64, f64)>> = starts
+    match fold {
+        Fold::Serial => fold_columns_in::<1>(columns, n_rows),
+        Fold::Lanes => fold_columns_in::<FOLD_LANES>(columns, n_rows),
+    }
+}
+
+/// [`fold_columns`] with `L` accumulator lanes in use (tree `t` into lane
+/// `t % L`).
+fn fold_columns_in<const L: usize>(columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
+    let per_chunk: Vec<Vec<(f64, f64)>> = chunks(n_rows)
         .par_iter()
-        .map(|&lo| {
-            let m = CHUNK.min(n_rows - lo);
-            let mut acc = vec![[0.0f64; 2 * FOLD_LANES]; m];
-            // Whole lane-quads of trees per pass: the four lane indices are
-            // literals, so the updates are straight-line code over four
-            // sequential column streams. Tree `4k + l` still lands in lane
-            // `l` with `k` ascending — `fold_lanes`' exact per-lane order.
-            let mut quads = columns.chunks_exact(FOLD_LANES);
+        .map(|rows| {
+            let (lo, m) = (rows.start, rows.len());
+            let mut acc = vec![[[0.0f64; L]; 2]; m];
+            // Whole quads of trees per pass: the four lane indices are
+            // constants, so the updates are straight-line code over four
+            // sequential column streams. Tree `4k + i` lands in lane
+            // `i % L` with `k` ascending — ascending tree order per lane.
+            let mut quads = columns.chunks_exact(4);
             for quad in &mut quads {
-                let acc = &mut acc[..m];
-                let c0 = &quad[0][lo..lo + m];
-                let c1 = &quad[1][lo..lo + m];
-                let c2 = &quad[2][lo..lo + m];
-                let c3 = &quad[3][lo..lo + m];
+                let c = [
+                    &quad[0][lo..lo + m],
+                    &quad[1][lo..lo + m],
+                    &quad[2][lo..lo + m],
+                    &quad[3][lo..lo + m],
+                ];
                 for j in 0..m {
                     let a = &mut acc[j];
-                    let (v0, v1, v2, v3) = (c0[j], c1[j], c2[j], c3[j]);
-                    a[0] += v0;
-                    a[1] += v1;
-                    a[2] += v2;
-                    a[3] += v3;
-                    a[FOLD_LANES] += v0 * v0;
-                    a[FOLD_LANES + 1] += v1 * v1;
-                    a[FOLD_LANES + 2] += v2 * v2;
-                    a[FOLD_LANES + 3] += v3 * v3;
+                    for (i, col) in c.iter().enumerate() {
+                        let v = col[j];
+                        a[0][i % L] += v;
+                        a[1][i % L] += v * v;
+                    }
                 }
             }
             // Leftover trees: their global index is ≡ their remainder
-            // index mod FOLD_LANES (the quads consumed a multiple of it).
-            for (lane, col) in quads.remainder().iter().enumerate() {
+            // index mod 4 (the quads consumed a multiple of it), and L
+            // divides 4.
+            for (i, col) in quads.remainder().iter().enumerate() {
                 for (a, &v) in acc.iter_mut().zip(&col[lo..lo + m]) {
-                    a[lane] += v;
-                    a[FOLD_LANES + lane] += v * v;
+                    a[0][i % L] += v;
+                    a[1][i % L] += v * v;
                 }
             }
-            acc.iter()
-                .map(|a| {
-                    let (s, ss) = a.split_at(FOLD_LANES);
-                    (
-                        combine(s.try_into().expect("lane count")),
-                        combine(ss.try_into().expect("lane count")),
-                    )
-                })
-                .collect()
+            acc.iter().map(|[s, ss]| (combine(s), combine(ss))).collect()
         })
         .collect();
     per_chunk.into_iter().flatten().collect()
 }
 
-/// Transposes `x[start..end]` into fixed-stride row records (`buf[j][f]` =
-/// row `start + j`, feature `f`; slots past `d` are never consulted —
-/// feature indices are always `< d` — so the scratch needs no re-zeroing).
-#[allow(clippy::needless_range_loop)] // `f` indexes source column and dest slot
-fn transpose_into<const S: usize>(buf: &mut [[f64; S]], x: &FeatureMatrix, start: usize, end: usize) {
+/// Transposes `x[start..end]` into row records copied from `blank` (slots
+/// past `d` are never consulted — feature indices are always `< d`).
+fn transpose_into<T: AsMut<[f64]> + Clone>(x: &FeatureMatrix, start: usize, end: usize, blank: T) -> Vec<T> {
+    let mut buf = vec![blank; end - start];
     for f in 0..x.n_cols() {
         let col = &x.column(f)[start..end];
-        for (j, &v) in col.iter().enumerate() {
-            buf[j][f] = v;
+        for (rec, &v) in buf.iter_mut().zip(col) {
+            rec.as_mut()[f] = v;
         }
     }
-}
-
-/// Allocating form of [`transpose_into`] for per-chunk parallel workers.
-fn transpose<const S: usize>(x: &FeatureMatrix, start: usize, end: usize) -> Vec<[f64; S]> {
-    let mut buf = vec![[0.0f64; S]; end - start];
-    transpose_into(&mut buf, x, start, end);
     buf
 }
 
@@ -496,57 +525,85 @@ fn transpose<const S: usize>(x: &FeatureMatrix, start: usize, end: usize) -> Vec
 /// repeat the block's first row, so tail blocks descend a full complement
 /// of lanes (the surplus lanes' leaves are simply never read).
 #[inline]
-fn block_rows<const S: usize>(buf: &[[f64; S]], lo: usize, k: usize) -> [&[f64; S]; LANES] {
+fn block_rows<R: Record>(buf: &[R], lo: usize, k: usize) -> [&R; LANES] {
     std::array::from_fn(|j| &buf[lo + if j < k { j } else { 0 }])
 }
 
-/// A pool held in the flat kernel's fixed-stride row records, transposed
-/// **once** so repeated partial rescans skip the per-call transpose. The
-/// incremental pool-score cache builds one of these next to its per-tree
-/// columns: the pool is static across refit iterations (rows only leave,
-/// via [`StridedPool::swap_remove`]), so re-deriving the strided form on
-/// every refresh would redo identical work each iteration.
+/// Rows in the kernel's record layout, the stride picked by width.
 #[derive(Debug, Clone)]
-pub struct StridedPool {
-    repr: StridedRepr,
+enum Records {
+    /// `d <= 16`.
+    Narrow(Vec<[f64; STRIDE_NARROW]>),
+    /// `16 < d <= 64`.
+    Wide(Vec<[f64; STRIDE_WIDE]>),
+    /// `d > 64`: one boxed record of the row's own width.
+    General(Vec<Box<[f64]>>),
 }
 
+impl Records {
+    /// Transposes `x[start..end]` into records of the stride its width
+    /// needs.
+    fn transpose(x: &FeatureMatrix, start: usize, end: usize) -> Self {
+        let d = x.n_cols();
+        if d <= STRIDE_NARROW {
+            Self::Narrow(transpose_into(x, start, end, [0.0; STRIDE_NARROW]))
+        } else if d <= STRIDE_WIDE {
+            Self::Wide(transpose_into(x, start, end, [0.0; STRIDE_WIDE]))
+        } else {
+            Self::General(transpose_into(x, start, end, vec![0.0; d].into_boxed_slice()))
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Narrow(r) => r.len(),
+            Self::Wide(r) => r.len(),
+            Self::General(r) => r.len(),
+        }
+    }
+
+    /// Per-tree column segments of `rows` (see [`columns_chunk`]).
+    fn columns(&self, rows: std::ops::Range<usize>, trees: &[FlatTree], tree_idx: &[usize]) -> Vec<Vec<f64>> {
+        match self {
+            Self::Narrow(r) => columns_chunk(trees, tree_idx, &r[rows]),
+            Self::Wide(r) => columns_chunk(trees, tree_idx, &r[rows]),
+            Self::General(r) => columns_chunk(trees, tree_idx, &r[rows]),
+        }
+    }
+}
+
+/// A pool held in the flat kernel's row records, transposed **once** so
+/// repeated partial rescans skip the per-call transpose. The incremental
+/// pool-score cache builds one of these next to its per-tree columns: the
+/// pool is static across refit iterations (rows only leave, via
+/// [`StridedPool::swap_remove`]), so re-deriving the record form on every
+/// refresh would redo identical work each iteration.
 #[derive(Debug, Clone)]
-enum StridedRepr {
-    Narrow(Vec<[f64; STRIDE_NARROW]>),
-    Wide(Vec<[f64; STRIDE_WIDE]>),
+pub struct StridedPool {
+    records: Records,
+    /// Feature columns of the transposed pool.
+    n_cols: usize,
 }
 
 impl StridedPool {
-    /// Transposes `x` into stride records, choosing the narrow or wide
-    /// stride by width. `None` for spaces wider than the flat kernel
-    /// covers ([`RandomForest::fast_predict`] is false there too, so
-    /// callers fall back to the pointer kernel consistently).
-    ///
-    /// [`RandomForest::fast_predict`]: crate::RandomForest::fast_predict
+    /// Transposes `x` into row records, the stride chosen by width.
     #[must_use]
-    pub fn new(x: &FeatureMatrix) -> Option<Self> {
-        let n = x.n_rows();
-        if x.n_cols() <= STRIDE_NARROW {
-            Some(Self {
-                repr: StridedRepr::Narrow(transpose::<STRIDE_NARROW>(x, 0, n)),
-            })
-        } else if supports_width(x.n_cols()) {
-            Some(Self {
-                repr: StridedRepr::Wide(transpose::<STRIDE_WIDE>(x, 0, n)),
-            })
-        } else {
-            None
+    pub fn new(x: &FeatureMatrix) -> Self {
+        Self {
+            records: Records::transpose(x, 0, x.n_rows()),
+            n_cols: x.n_cols(),
         }
     }
 
     /// Number of row records.
     #[must_use]
     pub fn n_rows(&self) -> usize {
-        match &self.repr {
-            StridedRepr::Narrow(records) => records.len(),
-            StridedRepr::Wide(records) => records.len(),
-        }
+        self.records.len()
+    }
+
+    /// Feature columns per record.
+    pub(crate) fn n_cols(&self) -> usize {
+        self.n_cols
     }
 
     /// Removes row `i` by swapping the last row into its place — the exact
@@ -557,24 +614,23 @@ impl StridedPool {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn swap_remove(&mut self, i: usize) {
-        match &mut self.repr {
-            StridedRepr::Narrow(records) => {
-                records.swap_remove(i);
+        match &mut self.records {
+            Records::Narrow(r) => {
+                r.swap_remove(i);
             }
-            StridedRepr::Wide(records) => {
-                records.swap_remove(i);
+            Records::Wide(r) => {
+                r.swap_remove(i);
+            }
+            Records::General(r) => {
+                r.swap_remove(i);
             }
         }
     }
 }
 
 /// One chunk's worth of per-tree column segments: every requested tree
-/// descends the chunk's pre-transposed records [`LANES`] rows at a time.
-fn columns_chunk<const S: usize>(
-    trees: &[FlatTree],
-    tree_idx: &[usize],
-    buf: &[[f64; S]],
-) -> Vec<Vec<f64>> {
+/// descends the chunk's records [`LANES`] rows at a time.
+fn columns_chunk<R: Record>(trees: &[FlatTree], tree_idx: &[usize], buf: &[R]) -> Vec<Vec<f64>> {
     let m = buf.len();
     let mut idx = [0u32; LANES];
     let mut segs: Vec<Vec<f64>> = vec![Vec::with_capacity(m); tree_idx.len()];
@@ -600,6 +656,20 @@ fn stitch_columns(n_rows: usize, n_cols: usize, per_chunk: Vec<Vec<Vec<f64>>>) -
         }
     }
     cols
+}
+
+/// The `CHUNK`-row ranges of `0..n_rows`, each handed to one pool task.
+fn chunks(n_rows: usize) -> Vec<std::ops::Range<usize>> {
+    (0..n_rows)
+        .step_by(CHUNK)
+        .map(|start| start..(start + CHUNK).min(n_rows))
+        .collect()
+}
+
+/// Every tree of a fitted forest compiled to the flat layout.
+#[derive(Debug, Clone)]
+pub(crate) struct FlatForest {
+    trees: Vec<FlatTree>,
 }
 
 impl FlatForest {
@@ -630,89 +700,87 @@ impl FlatForest {
     }
 
     /// Blocked batch fold over the pool: rows are chunked across the
-    /// `PWU_THREADS` pool, each chunk is transposed once into fixed-stride
-    /// row records, and every tree descends the chunk [`LANES`] rows at a
-    /// time. Per row, `terms(tree, leaf)`'s `(value, square)` pair
-    /// accumulates into lane `t % FOLD_LANES` of `(Σv, Σv²)`-style
-    /// accumulators, combined pairwise exactly like [`fold_lanes`]; the
-    /// result goes through `finish(sum, sum_sq, n_trees)`.
-    ///
-    /// # Panics
-    /// Panics if the feature width exceeds [`STRIDE_WIDE`] (compilation is
-    /// gated on [`supports_width`], so a compiled layout never sees one).
-    pub(crate) fn fold_batch<T: Send>(
+    /// `PWU_THREADS` pool, each chunk is transposed once into row records,
+    /// and every tree descends the chunk [`LANES`] rows at a time. Per row,
+    /// `terms(tree, leaf)`'s `(value, square)` pair accumulates by `fold`
+    /// into `(Σv, Σv²)`-style accumulators; the result goes through
+    /// `finish(sum, sum_sq, n_trees)`.
+    fn fold_batch<T: Send>(
         &self,
         x: &FeatureMatrix,
+        fold: Fold,
         terms: impl Fn(&FlatTree, usize) -> (f64, f64) + Sync,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
-        if x.n_cols() <= STRIDE_NARROW {
-            self.fold_batch_strided::<STRIDE_NARROW, T>(x, &terms, &finish)
-        } else {
-            assert!(supports_width(x.n_cols()), "feature width exceeds the flat kernel");
-            self.fold_batch_strided::<STRIDE_WIDE, T>(x, &terms, &finish)
-        }
-    }
-
-    fn fold_batch_strided<const S: usize, T: Send>(
-        &self,
-        x: &FeatureMatrix,
-        terms: &(impl Fn(&FlatTree, usize) -> (f64, f64) + Sync),
-        finish: &(impl Fn(f64, f64, f64) -> T + Sync),
-    ) -> Vec<T> {
-        let n_rows = x.n_rows();
-        let n = self.trees.len() as f64;
-        let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-        let per_chunk: Vec<Vec<T>> = starts
+        let per_chunk: Vec<Vec<T>> = chunks(x.n_rows())
             .par_iter()
-            .map(|&start| {
-                let end = (start + CHUNK).min(n_rows);
-                let m = end - start;
-                let buf = transpose::<S>(x, start, end);
-                // Per row: FOLD_LANES sum lanes then FOLD_LANES square
-                // lanes, contiguous so a row's whole fold state is one
-                // cache line.
-                let mut acc = vec![[0.0f64; 2 * FOLD_LANES]; m];
-                let mut idx = [0u32; LANES];
-                for (t, tree) in self.trees.iter().enumerate() {
-                    let lane = t % FOLD_LANES;
-                    for block in 0..m.div_ceil(LANES) {
-                        let lo = block * LANES;
-                        let k = LANES.min(m - lo);
-                        idx.fill(0);
-                        tree.descend_block(block_rows(&buf, lo, k), &mut idx);
-                        for (j, &leaf) in idx[..k].iter().enumerate() {
-                            let (v, v2) = terms(tree, leaf as usize);
-                            let a = &mut acc[lo + j];
-                            a[lane] += v;
-                            a[FOLD_LANES + lane] += v2;
-                        }
-                    }
-                }
-                acc.iter()
-                    .map(|a| {
-                        let (s, ss) = a.split_at(FOLD_LANES);
-                        finish(
-                            combine(s.try_into().expect("lane count")),
-                            combine(ss.try_into().expect("lane count")),
-                            n,
-                        )
-                    })
-                    .collect()
+            .map(|rows| match Records::transpose(x, rows.start, rows.end) {
+                Records::Narrow(r) => self.fold_chunk(&r, fold, &terms, &finish),
+                Records::Wide(r) => self.fold_chunk(&r, fold, &terms, &finish),
+                Records::General(r) => self.fold_chunk(&r, fold, &terms, &finish),
             })
             .collect();
         per_chunk.into_iter().flatten().collect()
     }
 
+    fn fold_chunk<R: Record, T>(
+        &self,
+        rows: &[R],
+        fold: Fold,
+        terms: &impl Fn(&FlatTree, usize) -> (f64, f64),
+        finish: &impl Fn(f64, f64, f64) -> T,
+    ) -> Vec<T> {
+        match fold {
+            Fold::Serial => self.fold_chunk_in::<1, R, T>(rows, terms, finish),
+            Fold::Lanes => self.fold_chunk_in::<FOLD_LANES, R, T>(rows, terms, finish),
+        }
+    }
+
+    /// One chunk of [`FlatForest::fold_batch`] with `L` accumulator lanes
+    /// in use: tree `t` accumulates into lane `t % L`, so `L = 1` is the
+    /// serial tree-order fold and `L = FOLD_LANES` the lane fold.
+    fn fold_chunk_in<const L: usize, R: Record, T>(
+        &self,
+        rows: &[R],
+        terms: &impl Fn(&FlatTree, usize) -> (f64, f64),
+        finish: &impl Fn(f64, f64, f64) -> T,
+    ) -> Vec<T> {
+        let m = rows.len();
+        let n = self.trees.len() as f64;
+        // Per row: the sum lanes, then the square lanes — contiguous, so a
+        // row's whole fold state is at most one cache line.
+        let mut acc = vec![[[0.0f64; L]; 2]; m];
+        let mut idx = [0u32; LANES];
+        for (t, tree) in self.trees.iter().enumerate() {
+            let lane = t % L;
+            for block in 0..m.div_ceil(LANES) {
+                let lo = block * LANES;
+                let k = LANES.min(m - lo);
+                idx.fill(0);
+                tree.descend_block(block_rows(rows, lo, k), &mut idx);
+                for (a, &leaf) in acc[lo..lo + k].iter_mut().zip(&idx[..k]) {
+                    let (v, v2) = terms(tree, leaf as usize);
+                    a[0][lane] += v;
+                    a[1][lane] += v2;
+                }
+            }
+        }
+        acc.iter()
+            .map(|[s, ss]| finish(combine(s), combine(ss), n))
+            .collect()
+    }
+
     /// Batch `(Σμ, Σμ²)` fold — the across-tree `(mean, std)` estimator's
-    /// input, lane-folded per [`fold_lanes`].
+    /// input.
     pub(crate) fn fold_mu<T: Send>(
         &self,
         x: &FeatureMatrix,
+        fold: Fold,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
         self.fold_batch(
             x,
+            fold,
             |tree, leaf| {
                 let m = tree.mean[leaf];
                 (m, m * m)
@@ -722,80 +790,47 @@ impl FlatForest {
     }
 
     /// Batch `(Σμ, Σ(σ² + μ²))` fold — the law-of-total-variance
-    /// estimator's input, lane-folded per [`fold_lanes`].
+    /// estimator's input. The flat `second` array holds `variance + mean²`,
+    /// the term the scalar total-variance loop adds.
     pub(crate) fn fold_total_variance<T: Send>(
         &self,
         x: &FeatureMatrix,
+        fold: Fold,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
-        self.fold_batch(x, |tree, leaf| (tree.mean[leaf], tree.second[leaf]), finish)
+        self.fold_batch(x, fold, |tree, leaf| (tree.mean[leaf], tree.second[leaf]), finish)
     }
 
-    /// Per-tree point-prediction columns through the flat layout:
-    /// `out[k][i]` is tree `tree_idx[k]`'s prediction for row `i`. Values
-    /// are bit-identical to the pointer kernel's
-    /// (`RegressionTree::predict_at`) — the descent decisions match
-    /// bitwise, and the column holds raw leaf means, no fold — so the
-    /// incremental pool-score cache can refresh through whichever kernel
-    /// the model currently uses.
+    /// Per-tree point-prediction columns: `out[k][i]` is tree
+    /// `tree_idx[k]`'s prediction for row `i` — raw leaf means, no fold,
+    /// bit-identical to `RegressionTree::predict_at`.
     ///
     /// # Panics
-    /// Panics if the feature width exceeds [`STRIDE_WIDE`] (compilation is
-    /// gated on [`supports_width`]) or a tree index is out of range.
+    /// Panics if a tree index is out of range.
     pub(crate) fn columns(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        if x.n_cols() <= STRIDE_NARROW {
-            self.columns_strided::<STRIDE_NARROW>(x, tree_idx)
-        } else {
-            assert!(supports_width(x.n_cols()), "feature width exceeds the flat kernel");
-            self.columns_strided::<STRIDE_WIDE>(x, tree_idx)
-        }
-    }
-
-    fn columns_strided<const S: usize>(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        let n_rows = x.n_rows();
-        let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-        // Chunk-parallel with the trees inner, like `fold_batch_strided`:
-        // each chunk is transposed exactly once no matter how many columns
-        // are requested (tree-outer grouping would repeat the transpose per
-        // group, a visible fraction of a partial refresh's work).
-        let per_chunk: Vec<Vec<Vec<f64>>> = starts
+        // Chunk-parallel with the trees inner, like `fold_batch`: each
+        // chunk is transposed exactly once no matter how many columns are
+        // requested.
+        let per_chunk: Vec<Vec<Vec<f64>>> = chunks(x.n_rows())
             .par_iter()
-            .map(|&start| {
-                let end = (start + CHUNK).min(n_rows);
-                let buf = transpose::<S>(x, start, end);
-                columns_chunk(&self.trees, tree_idx, &buf)
+            .map(|rows| {
+                let records = Records::transpose(x, rows.start, rows.end);
+                records.columns(0..rows.len(), &self.trees, tree_idx)
             })
             .collect();
-        stitch_columns(n_rows, tree_idx.len(), per_chunk)
+        stitch_columns(x.n_rows(), tree_idx.len(), per_chunk)
     }
 
     /// [`FlatForest::columns`] over a pre-transposed pool: the descent
     /// reads [`StridedPool`]'s records directly, so a refresh pays zero
     /// transpose work. Values are bit-identical to [`FlatForest::columns`]
-    /// on the equivalent [`FeatureMatrix`] — the records hold the same
-    /// feature values the per-call transpose would produce.
+    /// on the equivalent [`FeatureMatrix`].
     pub(crate) fn columns_pre(&self, pool: &StridedPool, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        match &pool.repr {
-            StridedRepr::Narrow(records) => self.columns_records::<STRIDE_NARROW>(records, tree_idx),
-            StridedRepr::Wide(records) => self.columns_records::<STRIDE_WIDE>(records, tree_idx),
-        }
-    }
-
-    fn columns_records<const S: usize>(
-        &self,
-        records: &[[f64; S]],
-        tree_idx: &[usize],
-    ) -> Vec<Vec<f64>> {
-        let n_rows = records.len();
-        let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-        let per_chunk: Vec<Vec<Vec<f64>>> = starts
+        let per_chunk: Vec<Vec<Vec<f64>>> = chunks(pool.n_rows())
             .par_iter()
-            .map(|&start| {
-                let end = (start + CHUNK).min(n_rows);
-                columns_chunk(&self.trees, tree_idx, &records[start..end])
-            })
+            .map(|rows| pool.records.columns(rows.clone(), &self.trees, tree_idx))
             .collect();
-        stitch_columns(n_rows, tree_idx.len(), per_chunk)
+        stitch_columns(pool.n_rows(), tree_idx.len(), per_chunk)
     }
 }
 
@@ -848,9 +883,29 @@ mod tests {
         }
     }
 
-    /// The blocked descent (mixed and numeric-specialized steps, fixed
-    /// strides, masked indices, padded arenas, tail-lane padding) must land
-    /// every lane on the scalar descent's leaf.
+    /// Descends every block of `buf` and checks each lane's leaf against
+    /// the scalar descent of the same row.
+    fn assert_blocks_match_scalar<R: Record>(flat: &FlatTree, buf: &[R], x: &FeatureMatrix) {
+        let m = x.n_rows();
+        let mut idx = [0u32; LANES];
+        for block in 0..m.div_ceil(LANES) {
+            let lo = block * LANES;
+            let k = LANES.min(m - lo);
+            idx.fill(0);
+            flat.descend_block(block_rows(buf, lo, k), &mut idx);
+            for (j, &leaf) in idx[..k].iter().enumerate() {
+                assert_eq!(
+                    flat.mean[leaf as usize].to_bits(),
+                    flat.predict(&x.row(lo + j)).to_bits(),
+                    "block {block}, lane {j}"
+                );
+            }
+        }
+    }
+
+    /// The blocked descent (mixed and numeric-specialized steps, fixed and
+    /// general strides, masked indices, padded arenas, tail-lane padding)
+    /// must land every lane on the scalar descent's leaf.
     #[test]
     fn blocked_descent_matches_scalar_descent() {
         let (x, y, kinds) = dataset(300, 13);
@@ -860,22 +915,10 @@ mod tests {
         let tree = RegressionTree::fit(&x, &y, &rows, &kinds, &cfg, &mut rng);
         let flat = FlatTree::compile(&tree);
         assert!(!flat.nodes.is_empty(), "the dataset has a categorical column");
-        let buf = transpose::<STRIDE_NARROW>(&x, 0, x.n_rows());
-        let m = x.n_rows();
-        let mut idx = [0u32; LANES];
-        for block in 0..m.div_ceil(LANES) {
-            let lo = block * LANES;
-            let k = LANES.min(m - lo);
-            idx.fill(0);
-            flat.descend_block(block_rows(&buf, lo, k), &mut idx);
-            for (j, &leaf) in idx[..k].iter().enumerate() {
-                assert_eq!(
-                    flat.mean[leaf as usize].to_bits(),
-                    flat.predict(&x.row(lo + j)).to_bits(),
-                    "block {block}, lane {j}"
-                );
-            }
-        }
+        let n = x.n_rows();
+        assert_blocks_match_scalar(&flat, &transpose_into(&x, 0, n, [0.0; STRIDE_NARROW]), &x);
+        assert_blocks_match_scalar(&flat, &transpose_into(&x, 0, n, [0.0; STRIDE_WIDE]), &x);
+        assert_blocks_match_scalar(&flat, &transpose_into(&x, 0, n, vec![0.0; 3].into_boxed_slice()), &x);
     }
 
     /// The lane fold is a pure function of the value sequence and combines
@@ -890,21 +933,30 @@ mod tests {
     }
 
     /// The blocked tree-outer column fold must be bitwise identical to the
-    /// per-row lane fold it replaces — including at chunk boundaries, tail
-    /// chunks, and tree counts that don't divide the lane count.
+    /// per-row fold it replaces — the lane fold and the serial tree-order
+    /// recurrence alike — including at chunk boundaries, tail chunks, and
+    /// tree counts that don't divide the lane count.
     #[test]
-    fn fold_columns_matches_fold_lanes_bitwise() {
+    fn fold_columns_matches_per_row_folds_bitwise() {
         let mut rng = Xoshiro256PlusPlus::new(29);
         for (n_trees, n_rows) in [(1, 7), (6, CHUNK - 1), (64, CHUNK + 33), (17, 3 * CHUNK)] {
             let columns: Vec<Vec<f64>> = (0..n_trees)
                 .map(|_| (0..n_rows).map(|_| rng.next_f64() * 20.0 - 10.0).collect())
                 .collect();
-            let folded = fold_columns(&columns, n_rows);
-            assert_eq!(folded.len(), n_rows);
-            for (i, &(s, ss)) in folded.iter().enumerate() {
+            let lanes = fold_columns(&columns, n_rows, Fold::Lanes);
+            let serial = fold_columns(&columns, n_rows, Fold::Serial);
+            assert_eq!((lanes.len(), serial.len()), (n_rows, n_rows));
+            for i in 0..n_rows {
                 let (es, ess) = fold_lanes(columns.iter().map(|col| col[i]));
-                assert_eq!(s.to_bits(), es.to_bits(), "sum, {n_trees} trees, row {i}");
-                assert_eq!(ss.to_bits(), ess.to_bits(), "sum_sq, {n_trees} trees, row {i}");
+                assert_eq!(lanes[i].0.to_bits(), es.to_bits(), "lanes sum, {n_trees} trees, row {i}");
+                assert_eq!(lanes[i].1.to_bits(), ess.to_bits(), "lanes sum_sq, {n_trees} trees, row {i}");
+                let (mut s, mut ss) = (0.0f64, 0.0f64);
+                for col in &columns {
+                    s += col[i];
+                    ss += col[i] * col[i];
+                }
+                assert_eq!(serial[i].0.to_bits(), s.to_bits(), "serial sum, {n_trees} trees, row {i}");
+                assert_eq!(serial[i].1.to_bits(), ss.to_bits(), "serial sum_sq, {n_trees} trees, row {i}");
             }
         }
     }

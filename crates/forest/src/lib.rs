@@ -27,21 +27,24 @@
 //! that bit identity for speed under a *statistical*-equivalence contract
 //! (DESIGN.md §14): presorted-per-column partition reuse, counting-sort
 //! split search, f32 rank routing — still a pure function of the seed and
-//! invariant to thread count and deal order. Fast-mode forests also
-//! *predict* through the [`flat`] module: trees are compiled once into a
+//! invariant to thread count and deal order. Every forest *predicts*
+//! in batch through the [`flat`] module: trees are compiled once into a
 //! branch-free breadth-first node layout whose per-tree leaf values match
-//! the pointer kernel bitwise, with a lane-split ensemble fold.
+//! the scalar descent bitwise; the fit mode picks only the ensemble fold
+//! ([`Fold`]) — serial tree order for exact forests (bit-identical to the
+//! scalar calls), accumulator lanes for fast ones.
 //!
 //! Modules:
 //! - [`hyper`] — hyper-parameters ([`ForestConfig`], [`Mtry`], [`FitMode`])
 //! - [`split`] — exact best-split search for numeric and categorical columns
 //! - [`tree`] — a single CART regression tree (iterative, rank-packed growth)
 //! - [`fast`] — the statistically-equivalent fast fit engine
-//! - [`flat`] — the flat-node fast batch-predict layout
+//! - [`flat`] — the flat-node batch-predict kernel (both fit modes)
 //! - [`forest`] — the bagged ensemble with parallel fit/predict
 //! - [`importance`] — impurity-based feature importances
 //! - [`oob`] — out-of-bag error estimation
-//! - [`reference`] — the historical row-major implementation (tests/benches)
+//! - [`reference`] — the historical row-major fit and the pointer predict
+//!   kernel (tests/benches)
 
 pub mod fast;
 pub mod flat;
@@ -53,7 +56,7 @@ pub mod reference;
 pub mod split;
 pub mod tree;
 
-pub use flat::{fold_columns, fold_lanes, StridedPool};
+pub use flat::{fold_columns, fold_lanes, Fold, StridedPool};
 
 /// Whether this build of the crate carries the real fast engine. Downstream
 /// test harnesses must consult this — not their *own* `fast-path` feature —

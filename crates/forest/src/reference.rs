@@ -15,6 +15,11 @@
 //!    the recorded speedups in `BENCH_forest.json` are reproducible anywhere
 //!    rather than being a snapshot of one historical host.
 //!
+//! The pointer batch-predict kernel ([`predict_batch_pointer`],
+//! [`predict_columns_pointer`]: chunked row-major scratch, four trees
+//! descended in lock step per row) lives here too, frozen as the baseline
+//! of the flat kernel that now serves every forest's batch predictions.
+//!
 //! The bit-identity holds by construction, not by luck (see DESIGN.md §9):
 //! the optimized path re-sorts each node's rows with monotone integer keys
 //! that answer every comparison exactly as `f64::partial_cmp` did here, so
@@ -24,8 +29,9 @@
 //! suites verify this end to end.
 
 use rand::Rng;
+use rayon::prelude::*;
 
-use pwu_space::FeatureKind;
+use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
 use crate::forest::{bootstrap_rows, Prediction, RandomForest};
@@ -118,6 +124,188 @@ pub fn update(
 pub fn predict_batch(forest: &RandomForest, rows: &[Vec<f64>]) -> Vec<Prediction> {
     rows.iter().map(|r| forest.predict_one(r)).collect()
 }
+
+/// Batch prediction through the pointer kernel the forest used before the
+/// flat layout served every batch: rows chunked across the pool, each chunk
+/// transposed into a row-major scratch, four trees descended in lock step
+/// per row ([`predict4`]), leaf means folded serially in tree order.
+/// Frozen as the benchmark baseline of the flat kernel; bit-identical to
+/// [`RandomForest::predict_one_at`].
+#[must_use]
+pub fn predict_batch_pointer(forest: &RandomForest, x: &FeatureMatrix) -> Vec<Prediction> {
+    let trees = forest.trees();
+    let n = trees.len() as f64;
+    let starts: Vec<usize> = (0..x.n_rows()).step_by(POINTER_CHUNK).collect();
+    let per_chunk: Vec<Vec<Prediction>> = starts
+        .par_iter()
+        .map(|&start| {
+            let end = (start + POINTER_CHUNK).min(x.n_rows());
+            let rowbuf = row_major(x, start, end);
+            let d = x.n_cols().max(1);
+            let m = end - start;
+            let mut sum = vec![0.0f64; m];
+            let mut sum_sq = vec![0.0f64; m];
+            let mut quads = trees.chunks_exact(4);
+            for quad in &mut quads {
+                let quad = [&quad[0], &quad[1], &quad[2], &quad[3]];
+                for (j, row) in rowbuf.chunks_exact(d).enumerate() {
+                    for p in predict4(quad, row) {
+                        sum[j] += p;
+                        sum_sq[j] += p * p;
+                    }
+                }
+            }
+            for tree in quads.remainder() {
+                for (j, row) in rowbuf.chunks_exact(d).enumerate() {
+                    let p = tree.predict(row);
+                    sum[j] += p;
+                    sum_sq[j] += p * p;
+                }
+            }
+            sum.iter()
+                .zip(&sum_sq)
+                .map(|(&s, &ss)| {
+                    let mean = s / n;
+                    let var = (ss / n - mean * mean).max(0.0);
+                    Prediction {
+                        mean,
+                        std: var.sqrt(),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    per_chunk.into_iter().flatten().collect()
+}
+
+/// Per-tree point-prediction columns through the pointer kernel (four trees
+/// per [`predict4`] pass, the rest one at a time): the frozen baseline of
+/// `RandomForest::predict_columns`. `out[k][i]` is tree `tree_idx[k]`'s
+/// prediction for row `i`.
+///
+/// # Panics
+/// Panics if a tree index is out of range.
+#[must_use]
+pub fn predict_columns_pointer(
+    forest: &RandomForest,
+    x: &FeatureMatrix,
+    tree_idx: &[usize],
+) -> Vec<Vec<f64>> {
+    let trees = forest.trees();
+    let n_rows = x.n_rows();
+    let d = x.n_cols().max(1);
+    let groups: Vec<&[usize]> = tree_idx.chunks(4).collect();
+    let cols: Vec<Vec<Vec<f64>>> = groups
+        .par_iter()
+        .map(|idxs| {
+            let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(n_rows); idxs.len()];
+            for start in (0..n_rows).step_by(POINTER_CHUNK) {
+                let rowbuf = row_major(x, start, (start + POINTER_CHUNK).min(n_rows));
+                if let [a, b, c, e] = **idxs {
+                    let quad = [&trees[a], &trees[b], &trees[c], &trees[e]];
+                    for row in rowbuf.chunks_exact(d) {
+                        for (col, p) in cols.iter_mut().zip(predict4(quad, row)) {
+                            col.push(p);
+                        }
+                    }
+                } else {
+                    for (col, &t) in cols.iter_mut().zip(*idxs) {
+                        col.extend(rowbuf.chunks_exact(d).map(|row| trees[t].predict(row)));
+                    }
+                }
+            }
+            cols
+        })
+        .collect();
+    cols.into_iter().flatten().collect()
+}
+
+/// Folds cached per-tree columns into `(μ, σ)` per row by the per-row
+/// serial gather the incremental pool-score cache used for exact models
+/// before the blocked column fold: bit-identical to
+/// [`RandomForest::predict_one_at`] over the same per-tree values. Frozen
+/// as a benchmark baseline.
+#[must_use]
+pub fn fold_columns_rowwise(columns: &[Vec<f64>], n_rows: usize) -> Vec<Prediction> {
+    let n = columns.len() as f64;
+    (0..n_rows)
+        .into_par_iter()
+        .map(|i| {
+            let mut sum = 0.0;
+            let mut sum_sq = 0.0;
+            for col in columns {
+                let p = col[i];
+                sum += p;
+                sum_sq += p * p;
+            }
+            let mean = sum / n;
+            let var = (sum_sq / n - mean * mean).max(0.0);
+            Prediction {
+                mean,
+                std: var.sqrt(),
+            }
+        })
+        .collect()
+}
+
+/// Rows per chunk of the pointer kernel.
+const POINTER_CHUNK: usize = 512;
+
+/// Rows `start..end` of `x` in row-major order (`d` values per row; one
+/// zero per row when `x` has no columns, so `chunks_exact` stays valid).
+fn row_major(x: &FeatureMatrix, start: usize, end: usize) -> Vec<f64> {
+    let d = x.n_cols().max(1);
+    let mut rowbuf = vec![0.0f64; (end - start) * d];
+    for f in 0..x.n_cols() {
+        for (j, &v) in x.column(f)[start..end].iter().enumerate() {
+            rowbuf[j * d + f] = v;
+        }
+    }
+    rowbuf
+}
+
+/// Descends `row` through four trees in lock step, returning the four
+/// leaf means in tree order.
+///
+/// Functionally identical to four [`RegressionTree::predict`] calls; the
+/// interleaving exists purely so the four serial node-load chains overlap
+/// in the memory pipeline (batch prediction is latency-bound, not
+/// compute-bound).
+fn predict4(trees: [&RegressionTree; 4], row: &[f64]) -> [f64; 4] {
+    let mut idx = [0usize; 4];
+    let mut out = [0.0f64; 4];
+    let mut pending = [true; 4];
+    loop {
+        let mut any = false;
+        for k in 0..4 {
+            if pending[k] {
+                match &trees[k].nodes()[idx[k]] {
+                    Node::Leaf(stats) => {
+                        out[k] = stats.mean;
+                        pending[k] = false;
+                    }
+                    Node::Internal {
+                        feature,
+                        rule,
+                        left,
+                        right,
+                    } => {
+                        idx[k] = if rule.goes_left(row[*feature as usize]) {
+                            *left as usize
+                        } else {
+                            *right as usize
+                        };
+                        any = true;
+                    }
+                }
+            }
+        }
+        if !any {
+            return out;
+        }
+    }
+}
+
 
 /// Grows one tree exactly as the historical `RegressionTree::fit` did.
 ///
@@ -452,4 +640,55 @@ fn best_categorical_split(
         rule: SplitRule::Categories(mask),
         gain,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hyper::Mtry;
+
+    fn fit_simple(x: &[Vec<f64>], y: &[f64], config: &ForestConfig) -> RegressionTree {
+        let kinds = vec![FeatureKind::Numeric; x[0].len()];
+        let m = FeatureMatrix::from_rows(x[0].len(), x);
+        let rows: Vec<u32> = (0..x.len() as u32).collect();
+        let mut rng = Xoshiro256PlusPlus::new(0);
+        RegressionTree::fit(&m, y, &rows, &kinds, config, &mut rng)
+    }
+
+    #[test]
+    fn predict4_matches_four_scalar_descents() {
+        // Four structurally different trees (different targets), probed at
+        // training points and off-grid points: the lock-step descent must
+        // return exactly what four scalar `predict` calls return, for
+        // mixed leaf depths (some chains finish while others keep walking).
+        let x: Vec<Vec<f64>> = (0..24).map(|i| vec![f64::from(i), f64::from(i % 5)]).collect();
+        let targets: [Vec<f64>; 4] = [
+            (0..24).map(f64::from).collect(),
+            (0..24).map(|i| f64::from(i * i)).collect(),
+            (0..24).map(|i| f64::from(i % 3)).collect(),
+            vec![7.0; 24], // constant: this tree is a single leaf
+        ];
+        let cfg = ForestConfig {
+            mtry: Mtry::All,
+            ..ForestConfig::default()
+        };
+        let trees: Vec<RegressionTree> = targets.iter().map(|y| fit_simple(&x, y, &cfg)).collect();
+        let quad = [&trees[0], &trees[1], &trees[2], &trees[3]];
+        let probes: Vec<Vec<f64>> = x
+            .iter()
+            .cloned()
+            .chain((0..8).map(|i| vec![f64::from(i) + 0.37, f64::from(i % 5) - 0.2]))
+            .collect();
+        for row in &probes {
+            let p = predict4(quad, row);
+            for k in 0..4 {
+                assert_eq!(
+                    p[k].to_bits(),
+                    quad[k].predict(row).to_bits(),
+                    "lane {k} diverged on {row:?}"
+                );
+            }
+        }
+    }
+
 }

@@ -560,48 +560,6 @@ pub(crate) fn stable_partition(
     w
 }
 
-/// Descends `row` through four trees in lock step, returning the four
-/// leaf means in tree order.
-///
-/// Functionally identical to four [`RegressionTree::predict`] calls; the
-/// interleaving exists purely so the four serial node-load chains overlap
-/// in the memory pipeline (batch prediction is latency-bound, not
-/// compute-bound).
-pub(crate) fn predict4(trees: [&RegressionTree; 4], row: &[f64]) -> [f64; 4] {
-    let mut idx = [0usize; 4];
-    let mut out = [0.0f64; 4];
-    let mut pending = [true; 4];
-    loop {
-        let mut any = false;
-        for k in 0..4 {
-            if pending[k] {
-                match &trees[k].nodes[idx[k]] {
-                    Node::Leaf(stats) => {
-                        out[k] = stats.mean;
-                        pending[k] = false;
-                    }
-                    Node::Internal {
-                        feature,
-                        rule,
-                        left,
-                        right,
-                    } => {
-                        idx[k] = if rule.goes_left(row[*feature as usize]) {
-                            *left as usize
-                        } else {
-                            *right as usize
-                        };
-                        any = true;
-                    }
-                }
-            }
-        }
-        if !any {
-            return out;
-        }
-    }
-}
-
 /// Single-pass leaf statistics (Youngs–Cramer update).
 ///
 /// The running `sum` accumulates in exactly the historical order, so the
@@ -642,42 +600,6 @@ mod tests {
         let rows: Vec<u32> = (0..x.len() as u32).collect();
         let mut rng = Xoshiro256PlusPlus::new(0);
         RegressionTree::fit(&m, y, &rows, &kinds, config, &mut rng)
-    }
-
-    #[test]
-    fn predict4_matches_four_scalar_descents() {
-        // Four structurally different trees (different targets), probed at
-        // training points and off-grid points: the lock-step descent must
-        // return exactly what four scalar `predict` calls return, for
-        // mixed leaf depths (some chains finish while others keep walking).
-        let x: Vec<Vec<f64>> = (0..24).map(|i| vec![f64::from(i), f64::from(i % 5)]).collect();
-        let targets: [Vec<f64>; 4] = [
-            (0..24).map(f64::from).collect(),
-            (0..24).map(|i| f64::from(i * i)).collect(),
-            (0..24).map(|i| f64::from(i % 3)).collect(),
-            vec![7.0; 24], // constant: this tree is a single leaf
-        ];
-        let cfg = ForestConfig {
-            mtry: crate::hyper::Mtry::All,
-            ..ForestConfig::default()
-        };
-        let trees: Vec<RegressionTree> = targets.iter().map(|y| fit_simple(&x, y, &cfg)).collect();
-        let quad = [&trees[0], &trees[1], &trees[2], &trees[3]];
-        let probes: Vec<Vec<f64>> = x
-            .iter()
-            .cloned()
-            .chain((0..8).map(|i| vec![f64::from(i) + 0.37, f64::from(i % 5) - 0.2]))
-            .collect();
-        for row in &probes {
-            let p = predict4(quad, row);
-            for k in 0..4 {
-                assert_eq!(
-                    p[k].to_bits(),
-                    quad[k].predict(row).to_bits(),
-                    "lane {k} diverged on {row:?}"
-                );
-            }
-        }
     }
 
     #[test]

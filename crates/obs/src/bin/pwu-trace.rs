@@ -8,7 +8,12 @@
 //!
 //! Works on both planes: deterministic traces have no wall column (the
 //! sidecar is stripped), full traces show sidecar milliseconds.
+//!
+//! A closed stdout (`pwu-trace summarize FILE | head`) ends the command
+//! quietly with status 0: the reader has taken all it wanted.
 
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::exit;
 
 use pwu_obs::{diff_summaries, summarize, Summary};
@@ -29,8 +34,30 @@ fn wall_ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-fn print_summary(s: &Summary) {
-    println!(
+/// Writes `text` to stdout. A reader that closed the pipe early is a clean
+/// exit 0; any other write failure is reported and exits 2.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("pwu-trace: cannot write to stdout: {e}");
+        exit(2);
+    }
+}
+
+/// Appends one line to `out` (formatting into a `String` cannot fail).
+macro_rules! line {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).expect("formatting into a String")
+    };
+}
+
+fn render_summary(s: &Summary) -> String {
+    let mut out = String::new();
+    line!(
+        out,
         "{:<30} {:>8} {:>14} {:>10} {:>12}",
         "span", "count", "cost", "extent", "wall ms"
     );
@@ -40,25 +67,27 @@ fn print_summary(s: &Summary) {
         } else {
             "-".to_string()
         };
-        println!(
+        line!(
+            out,
             "{:<30} {:>8} {:>14.3} {:>10} {:>12}",
             stat.name, stat.count, stat.cost_total, stat.seq_extent, wall
         );
     }
     if !s.metrics.is_empty() {
-        println!("\n{:<40} {:>15} plane", "metric", "value");
+        line!(out, "\n{:<40} {:>15} plane", "metric", "value");
         for (name, plane, value) in &s.metrics {
-            println!("{name:<40} {value:>15} {plane}");
+            line!(out, "{name:<40} {value:>15} {plane}");
         }
     }
-    println!("\n{} events total", s.events);
+    line!(out, "\n{} events total", s.events);
+    out
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("summarize") if args.len() == 2 => {
-            print_summary(&load(&args[1]));
+            emit(&render_summary(&load(&args[1])));
         }
         Some("diff") if args.len() >= 3 => {
             let threshold = args
@@ -70,7 +99,7 @@ fn main() {
             let base = load(&args[1]);
             let new = load(&args[2]);
             let report = diff_summaries(&base, &new, threshold);
-            print!("{}", report.text);
+            emit(&report.text);
             if report.regressed {
                 eprintln!(
                     "pwu-trace: regression over {:.0}% threshold",
@@ -78,7 +107,7 @@ fn main() {
                 );
                 exit(1);
             }
-            println!("no regression over {:.0}% threshold", threshold * 100.0);
+            emit(&format!("no regression over {:.0}% threshold\n", threshold * 100.0));
         }
         Some("top") if args.len() >= 2 => {
             let n = args
@@ -94,12 +123,15 @@ fn main() {
                     a.count,
                 ))
             });
-            println!(
+            let mut out = String::new();
+            line!(
+                out,
                 "{:<30} {:>8} {:>14} {:>10} {:>12}",
                 "span", "count", "cost", "extent", "wall ms"
             );
             for stat in spans.iter().take(n) {
-                println!(
+                line!(
+                    out,
                     "{:<30} {:>8} {:>14.3} {:>10} {:>12.3}",
                     stat.name,
                     stat.count,
@@ -108,6 +140,7 @@ fn main() {
                     wall_ms(stat.wall_total_ns)
                 );
             }
+            emit(&out);
         }
         _ => {
             eprintln!(

@@ -37,7 +37,11 @@
 //!   overhead budget. See DESIGN.md §13 for the contract.
 //! - `fast` — the fast-engine gate: runs the `pwu-forest` fast-path suite
 //!   in all three feature configurations (default, `fast-path`,
-//!   `fast-path,sanitize`), the `pwu-core` statistical-equivalence harness
+//!   `fast-path,sanitize`); under the two `fast-path` configurations also
+//!   the exact-mode bit-identity suites (`golden_predictions`,
+//!   `predict_tails`, `reference_equivalence`), since exact and fast
+//!   forests share the flat predict kernel and only the fold differs;
+//!   then the `pwu-core` statistical-equivalence harness
 //!   (trajectory RMSE over ≥20 seeds, 18-kernel best-config quality,
 //!   determinism/width-invariance) with and without the engine compiled
 //!   in, and the `pwu-serve` fleet suite under `fast-path` (nested
@@ -59,7 +63,7 @@ const GATES: [(&str, &str); 9] = [
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
     ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale)"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
-    ("cargo xtask fast", "fast-engine statistical equivalence + nested-fit degrade"),
+    ("cargo xtask fast", "fast-engine equivalence + exact bit-identity under fast-path"),
 ];
 
 fn main() {
@@ -445,7 +449,7 @@ fn fast() {
         ]),
     );
     run_step(
-        "fast fit+predict suites (--features fast-path)",
+        "fast fit+predict suites + exact bit-identity suites (--features fast-path)",
         Command::new(&cargo).args([
             "test",
             "-q",
@@ -455,12 +459,18 @@ fn fast() {
             "fast_path",
             "--test",
             "flat_predict",
+            "--test",
+            "golden_predictions",
+            "--test",
+            "predict_tails",
+            "--test",
+            "reference_equivalence",
             "--features",
             "fast-path",
         ]),
     );
     run_step(
-        "fast fit+predict suites under the schedule sanitizer (--features fast-path,sanitize)",
+        "fast fit+predict suites + exact bit-identity suites under the schedule sanitizer (--features fast-path,sanitize)",
         Command::new(&cargo).args([
             "test",
             "-q",
@@ -470,6 +480,12 @@ fn fast() {
             "fast_path",
             "--test",
             "flat_predict",
+            "--test",
+            "golden_predictions",
+            "--test",
+            "predict_tails",
+            "--test",
+            "reference_equivalence",
             "--features",
             "fast-path,sanitize",
         ]),
