@@ -7,7 +7,7 @@
 //! `target/paper/fig2_<kernel>_rmse.csv` (and the matching Fig 3 cost series,
 //! since both figures come from the same runs).
 
-use pwu_bench::{output_dir, run_benchmark_curves, Scale};
+use pwu_bench::{benchmarks_or_exit, output_dir, run_curves, Scale};
 use pwu_report::LinePlot;
 
 fn main() {
@@ -34,8 +34,9 @@ fn main() {
         }
     };
 
-    for kernel in &kernels {
-        let result = run_benchmark_curves(kernel, scale, alpha, 0xF162);
+    for target in benchmarks_or_exit(&kernels) {
+        let kernel = target.name();
+        let result = run_curves(target.as_ref(), scale, alpha, 0xF162);
         let mut plot = LinePlot::new(
             format!("Fig 2 ({kernel}): RMSE@{alpha} vs #samples"),
             "#samples",

@@ -6,7 +6,7 @@
 //! The runs are seeded identically to `fig2`, so the two figures describe
 //! the same experiments (as in the paper).
 
-use pwu_bench::{output_dir, run_benchmark_curves, Scale};
+use pwu_bench::{benchmarks_or_exit, output_dir, run_curves, Scale};
 use pwu_report::LinePlot;
 
 fn main() {
@@ -29,8 +29,9 @@ fn main() {
         }
     };
 
-    for kernel in &kernels {
-        let result = run_benchmark_curves(kernel, scale, alpha, 0xF162);
+    for target in benchmarks_or_exit(&kernels) {
+        let kernel = target.name();
+        let result = run_curves(target.as_ref(), scale, alpha, 0xF162);
         let mut plot = LinePlot::new(
             format!("Fig 3 ({kernel}): cumulative cost vs #samples"),
             "#samples",

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p pwu-bench --bin fig5 [-- --quick|--full]`
 
-use pwu_bench::{output_dir, run_benchmark_curves, Scale};
+use pwu_bench::{benchmarks_or_exit, output_dir, run_curves, Scale};
 use pwu_report::{write_csv, LinePlot};
 
 fn main() {
@@ -11,8 +11,9 @@ fn main() {
     let scale = Scale::from_args(&args);
     let alpha = 0.01;
 
-    for app in ["kripke", "hypre"] {
-        let result = run_benchmark_curves(app, scale, alpha, 0xF164);
+    for target in benchmarks_or_exit(&["kripke", "hypre"]) {
+        let app = target.name();
+        let result = run_curves(target.as_ref(), scale, alpha, 0xF164);
         let mut plot = LinePlot::new(
             format!("Fig 5 ({app}): RMSE@{alpha} vs cumulative cost"),
             "cumulative cost (s)",

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p pwu-bench --bin fig7 [-- --quick|--full] [bench …]`
 
-use pwu_bench::{all_benchmarks, output_dir, run_benchmark_curves, Scale};
+use pwu_bench::{all_benchmarks, benchmarks_or_exit, output_dir, run_curves, Scale};
 use pwu_core::cost_to_reach;
 use pwu_report::{write_csv, Table};
 
@@ -40,8 +40,9 @@ fn main() {
     ]);
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut speedups: Vec<f64> = Vec::new();
-    for name in &names {
-        let result = run_benchmark_curves(name, scale, alpha, 0xF167);
+    for target in benchmarks_or_exit(&names) {
+        let name = target.name().to_string();
+        let result = run_curves(target.as_ref(), scale, alpha, 0xF167);
         let pwu = result.curve("PWU").expect("PWU ran");
         let pbus = result.curve("PBUS").expect("PBUS ran");
         let level = pwu.rmse[0]
@@ -71,7 +72,7 @@ fn main() {
             format!("{speedup:.2}x"),
         ]);
         rows.push(vec![
-            name.clone(),
+            name,
             format!("{level:.6e}"),
             format!("{cc_pbus:.6e}"),
             format!("{cc_pwu:.6e}"),

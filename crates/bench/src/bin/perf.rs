@@ -29,9 +29,10 @@
 //! `--measure-out` (default `BENCH_measure.json`) under
 //! `pwu-bench-measure-v1`. Both reports are
 //! `{"schema":...,"mode":...,"results":[{name, baseline_ns, optimized_ns,
-//! speedup}, ...]}`; each number is the median of the timed samples, with
-//! baseline and optimized calls interleaved so machine-speed drift cancels
-//! out of the ratio.
+//! speedup}, ...]}`. Baseline and optimized calls are timed interleaved, in
+//! pairs; `baseline_ns` and `optimized_ns` are the medians of each side and
+//! `speedup` is the median of the per-pair ratios, so machine-speed drift
+//! cancels out of it.
 
 use std::time::Instant;
 
@@ -69,43 +70,59 @@ fn median(v: &mut [f64]) -> f64 {
     }
 }
 
-/// Median wall-clock nanoseconds of two routines timed **interleaved**
-/// (one warm-up call each, then baseline/optimized alternating every
-/// sample). Interleaving matters on a throttled single-core container:
-/// cgroup CPU-quota and frequency drift move both series together, so the
-/// reported *ratio* stays stable even when absolute times wander between
-/// the start and end of a run.
+/// Times two routines **interleaved** (one warm-up call each, then
+/// baseline/optimized alternating every sample) and reports the median
+/// wall-clock nanoseconds of each side, and as the speedup the median of
+/// the per-pair ratios. Interleaving matters on a throttled, shared
+/// container: cgroup CPU-quota and frequency drift move both calls of a
+/// pair together, so each pair's ratio cancels it, and the median of those
+/// ratios drops the pairs a contention burst hit on one side only — a
+/// ratio of two medians mixes samples from different moments and does
+/// not.
 fn time_pair(
+    name: &'static str,
     samples: usize,
     mut baseline: impl FnMut(),
     mut optimized: impl FnMut(),
-) -> (f64, f64) {
+) -> Row {
     baseline();
     optimized();
     let mut vb = Vec::with_capacity(samples);
     let mut vo = Vec::with_capacity(samples);
+    let mut ratios = Vec::with_capacity(samples);
     for _ in 0..samples {
         let start = Instant::now();
         baseline();
-        vb.push(start.elapsed().as_nanos() as f64);
+        let b = start.elapsed().as_nanos() as f64;
         let start = Instant::now();
         optimized();
-        vo.push(start.elapsed().as_nanos() as f64);
+        let o = start.elapsed().as_nanos() as f64;
+        vb.push(b);
+        vo.push(o);
+        ratios.push(b / o);
     }
-    (median(&mut vb), median(&mut vo))
+    Row {
+        name,
+        baseline_ns: median(&mut vb),
+        optimized_ns: median(&mut vo),
+        speedup: median(&mut ratios),
+    }
 }
 
 struct Row {
     name: &'static str,
     baseline_ns: f64,
     optimized_ns: f64,
+    /// Median of the per-pair `baseline / optimized` ratios.
+    speedup: f64,
 }
 
 fn bench_fit(name: &'static str, n: usize, d: usize, samples: usize) -> Row {
     let (rows, matrix, y) = data(n, d, 11);
     let kinds = vec![FeatureKind::Numeric; d];
     let config = ForestConfig::default();
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        name,
         samples,
         || {
             std::hint::black_box(reference::fit(&config, &kinds, &rows, &y, 7));
@@ -113,12 +130,7 @@ fn bench_fit(name: &'static str, n: usize, d: usize, samples: usize) -> Row {
         || {
             std::hint::black_box(RandomForest::fit(&config, &kinds, &matrix, &y, 7));
         },
-    );
-    Row {
-        name,
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// The fast engine vs the same single-thread reference baseline as
@@ -137,7 +149,8 @@ fn bench_fit_fast(name: &'static str, n: usize, d: usize, width: usize, samples:
     };
     let before = rayon::current_num_threads();
     rayon::set_threads(width);
-    let (baseline_ns, optimized_ns) = time_pair(
+    let row = time_pair(
+        name,
         samples,
         || {
             std::hint::black_box(reference::fit(&exact, &kinds, &rows, &y, 7));
@@ -147,11 +160,7 @@ fn bench_fit_fast(name: &'static str, n: usize, d: usize, width: usize, samples:
         },
     );
     rayon::set_threads(before);
-    Row {
-        name,
-        baseline_ns,
-        optimized_ns,
-    }
+    row
 }
 
 fn bench_predict_batch(samples: usize) -> Row {
@@ -160,7 +169,8 @@ fn bench_predict_batch(samples: usize) -> Row {
     let kinds = vec![FeatureKind::Numeric; d];
     let forest = RandomForest::fit(&ForestConfig::default(), &kinds, &x, &y, 3);
     let (pool_rows, pool, _) = data(4000, d, 22);
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "predict_batch/pool4000_d12",
         samples,
         || {
             std::hint::black_box(reference::predict_batch(&forest, &pool_rows));
@@ -168,12 +178,7 @@ fn bench_predict_batch(samples: usize) -> Row {
         || {
             std::hint::black_box(forest.predict_batch(&pool));
         },
-    );
-    Row {
-        name: "predict_batch/pool4000_d12",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// The fast *predict* engine vs the same fast-fitted trees scored through
@@ -193,7 +198,8 @@ fn bench_fast_predict_batch(samples: usize) -> Row {
     };
     let fast = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 3);
     let (_, pool, _) = data(4000, d, 22);
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "fast/predict_batch/pool4000_d12",
         samples,
         || {
             std::hint::black_box(reference::predict_batch_pointer(&fast, &pool));
@@ -201,12 +207,7 @@ fn bench_fast_predict_batch(samples: usize) -> Row {
         || {
             std::hint::black_box(fast.predict_batch(&pool));
         },
-    );
-    Row {
-        name: "fast/predict_batch/pool4000_d12",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// One `RefitMode::Partial(8)` iteration at fast-engine settings, flat
@@ -245,7 +246,8 @@ fn bench_fast_tuning_iteration(samples: usize) -> Row {
     let mut opt_forest = forest;
     let mut opt_cache = PoolScoreCache::build(&opt_forest, &pool);
     let mut opt_step = 0u64;
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "fast/tuning_iteration/partial8_pool16k",
         samples,
         || {
             base_step += 1;
@@ -262,12 +264,7 @@ fn bench_fast_tuning_iteration(samples: usize) -> Row {
             opt_cache.refresh(&opt_forest, &pool, &refitted);
             std::hint::black_box(opt_cache.predictions());
         },
-    );
-    Row {
-        name: "fast/tuning_iteration/partial8_pool16k",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// One `RefitMode::Partial(8)` iteration's model work: regrow 8 of 64 trees
@@ -289,7 +286,8 @@ fn bench_tuning_iteration(samples: usize) -> Row {
     let mut opt_forest = forest.clone();
     let mut opt_cache = cache.clone();
     let mut opt_step = 0u64;
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "tuning_iteration/partial8",
         samples,
         || {
             base_step += 1;
@@ -302,12 +300,7 @@ fn bench_tuning_iteration(samples: usize) -> Row {
             opt_cache.refresh(&opt_forest, &pool, &refitted);
             std::hint::black_box(opt_cache.predictions());
         },
-    );
-    Row {
-        name: "tuning_iteration/partial8",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// One full annotation pass — 8 configurations × 35 repeats on gesummv with
@@ -324,7 +317,8 @@ fn bench_annotate(samples: usize) -> Row {
     let direct = Uncached(kernel.clone());
     let mut rng = Xoshiro256PlusPlus::new(41);
     let cfgs = kernel.space().sample_distinct(8, &mut rng);
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "annotate/repeats35x8",
         samples,
         || {
             let target = direct.clone();
@@ -340,12 +334,7 @@ fn bench_annotate(samples: usize) -> Row {
                 std::hint::black_box(annotator.try_evaluate(cfg).ok());
             }
         },
-    );
-    Row {
-        name: "annotate/repeats35x8",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// The pool-classification pass an experiment repetition pays once per
@@ -357,7 +346,8 @@ fn bench_pool_lint(samples: usize) -> Row {
     let direct = Uncached(kernel.clone());
     let mut rng = Xoshiro256PlusPlus::new(43);
     let cfgs = kernel.space().sample_distinct(2000, &mut rng);
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "pool_lint/2000x6",
         samples,
         || {
             let target = direct.clone();
@@ -371,12 +361,7 @@ fn bench_pool_lint(samples: usize) -> Row {
                 std::hint::black_box(PoolLintCounts::tally(&target, &cfgs));
             }
         },
-    );
-    Row {
-        name: "pool_lint/2000x6",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 /// One cell of the experiment grid — `run_experiment` on one kernel with a
@@ -402,7 +387,8 @@ fn bench_experiment_cell(samples: usize) -> Row {
         n_trees: 16,
         ..ForestConfig::default()
     };
-    let (baseline_ns, optimized_ns) = time_pair(
+    time_pair(
+        "experiment_cell/mini",
         samples,
         || {
             let target = direct.clone();
@@ -412,12 +398,7 @@ fn bench_experiment_cell(samples: usize) -> Row {
             let target = kernel.clone();
             std::hint::black_box(run_experiment(&target, &strategies, &protocol, 7));
         },
-    );
-    Row {
-        name: "experiment_cell/mini",
-        baseline_ns,
-        optimized_ns,
-    }
+    )
 }
 
 fn write_json(path: &str, schema: &str, mode: &str, results: &[Row]) -> std::io::Result<()> {
@@ -428,10 +409,7 @@ fn write_json(path: &str, schema: &str, mode: &str, results: &[Row]) -> std::io:
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"baseline_ns\":{:.1},\"optimized_ns\":{:.1},\"speedup\":{:.3}}}",
-            r.name,
-            r.baseline_ns,
-            r.optimized_ns,
-            r.baseline_ns / r.optimized_ns
+            r.name, r.baseline_ns, r.optimized_ns, r.speedup
         ));
     }
     out.push_str("]}\n");
@@ -449,7 +427,7 @@ fn print_table(results: &[Row]) {
             r.name,
             r.baseline_ns / 1e6,
             r.optimized_ns / 1e6,
-            r.baseline_ns / r.optimized_ns
+            r.speedup
         );
     }
 }
@@ -466,9 +444,9 @@ fn main() {
     };
     let out_path = arg_value("--out", "BENCH_forest.json");
     let measure_path = arg_value("--measure-out", "BENCH_measure.json");
-    let (mode, samples) = if smoke { ("smoke", 5) } else { ("full", 15) };
+    let (mode, samples) = if smoke { ("smoke", 9) } else { ("full", 15) };
 
-    eprintln!("[perf] mode {mode}: {samples} samples per benchmark, median reported");
+    eprintln!("[perf] mode {mode}: {samples} interleaved pairs per benchmark, medians reported");
     let forest_results = [
         bench_fit("fit/n200_d8", 200, 8, samples),
         bench_fit("fit/n500_d20", 500, 20, samples),
@@ -484,9 +462,9 @@ fn main() {
         .expect("write forest benchmark report");
     eprintln!("[perf] wrote {out_path}");
 
-    // The measurement engine: smoke mode halves the already-bounded sample
-    // count the same way, keeping `cargo xtask perf --check` inside a CI
-    // budget (the experiment cell is the expensive one).
+    // The measurement engine, at the same sample count: smoke mode keeps
+    // `cargo xtask perf --check` inside a CI budget (the experiment cell is
+    // the expensive one).
     let measure_results = [
         bench_annotate(samples),
         bench_pool_lint(samples),

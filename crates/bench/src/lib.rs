@@ -181,38 +181,36 @@ pub fn paper_strategies(alpha: f64) -> Vec<Strategy> {
     Strategy::paper_set(alpha)
 }
 
+/// Resolves every name to its benchmark before any work starts. On an
+/// unknown name it prints the typed error, which lists every valid name,
+/// to stderr and exits with status 2 — a mistyped argument costs nothing
+/// and never leaves a partial set of outputs behind.
+#[must_use]
+pub fn benchmarks_or_exit(names: &[impl AsRef<str>]) -> Vec<Box<dyn TuningTarget>> {
+    match names
+        .iter()
+        .map(|n| try_benchmark_by_name(n.as_ref()))
+        .collect()
+    {
+        Ok(targets) => targets,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// Runs the paper's experiment (all six strategies) on one benchmark at the
 /// given scale and α, printing progress to stderr.
-///
-/// # Panics
-/// Panics if the benchmark name is unknown; use [`try_run_benchmark_curves`]
-/// to handle that case gracefully.
 #[must_use]
-pub fn run_benchmark_curves(
-    name: &str,
+pub fn run_curves(
+    target: &dyn TuningTarget,
     scale: Scale,
     alpha: f64,
     seed: u64,
 ) -> pwu_core::ExperimentResult {
-    match try_run_benchmark_curves(name, scale, alpha, seed) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`run_benchmark_curves`].
-///
-/// # Errors
-/// Returns [`InvalidInput`] (listing every valid benchmark name) when `name`
-/// is not in the registry.
-pub fn try_run_benchmark_curves(
-    name: &str,
-    scale: Scale,
-    alpha: f64,
-    seed: u64,
-) -> Result<pwu_core::ExperimentResult, InvalidInput> {
-    let target = try_benchmark_by_name(name)?;
-    let protocol = scale.protocol_for(target.as_ref(), alpha);
+    let name = target.name();
+    let protocol = scale.protocol_for(target, alpha);
     let strategies = paper_strategies(alpha);
     eprintln!(
         "[{name}] pool {} / test {} / n_max {} / {} reps …",
@@ -222,10 +220,9 @@ pub fn try_run_benchmark_curves(
         protocol.n_reps
     );
     let start = std::time::Instant::now();
-    let result =
-        pwu_core::experiment::run_experiment(target.as_ref(), &strategies, &protocol, seed);
+    let result = pwu_core::experiment::run_experiment(target, &strategies, &protocol, seed);
     eprintln!("[{name}] done in {:.1?}", start.elapsed());
-    Ok(result)
+    result
 }
 
 /// Writes one benchmark's per-strategy series (`y` picked by `select`) as a
@@ -288,11 +285,6 @@ mod tests {
         for name in benchmark_names() {
             assert!(err.contains(&name), "error must list {name}: {err}");
         }
-        let err = match try_run_benchmark_curves("bogus", Scale::Quick, 0.05, 1) {
-            Ok(_) => panic!("bogus must not run"),
-            Err(e) => e.to_string(),
-        };
-        assert!(err.contains("kripke"), "{err}");
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! run in flight: built by its cold start or restored from a checkpoint, it
 //! advances one iteration per [`LiveLoop::step`] and captures itself with
 //! [`LiveLoop::checkpoint`]; `pwu-serve` keeps one per resident session.
+//! It keeps only the test rows RMSE@α reads (an [`EvalSet`]), so an
+//! evaluation predicts `⌊n·α⌋` rows, not the whole test set.
 //! [`bootstrap`] runs the cold start and returns the iteration-0
 //! checkpoint, and [`step_once`] (restore, then one step) advances any
 //! checkpoint by exactly one iteration. Because the from-scratch model is a
@@ -34,7 +36,7 @@ use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
 use crate::annotator::{Aggregator, Annotator, MeasurementStats, RetryPolicy};
 use crate::checkpoint::{ActiveCheckpoint, CheckpointError, CheckpointPolicy};
-use crate::metrics::rmse_at_alpha;
+use crate::metrics::EvalSet;
 use crate::score::PoolScoreCache;
 use crate::strategy::Strategy;
 
@@ -232,7 +234,8 @@ impl AnnotatorPosition {
 }
 
 /// A run in flight: the live handle on Algorithm 1's loop state (model,
-/// encoded pool, training set, RNG streams, history).
+/// encoded pool, training set, RNG streams, history) and the test rows it
+/// evaluates on.
 ///
 /// [`LiveLoop::bootstrap`] runs the cold start and [`LiveLoop::restore`]
 /// rebuilds the state a checkpoint captured, refitting the model once.
@@ -241,15 +244,17 @@ impl AnnotatorPosition {
 /// resident sessions all iterate through this handle, so a live chain is
 /// bit-identical to a `step_once` chain and to the continuous loop.
 ///
-/// The handle owns everything it mutates and borrows nothing. The target
-/// and the test set are passed to each call and must be the ones the run
-/// was built with, so a host can keep the handle next to the target it
-/// tunes.
+/// The handle owns everything it mutates and borrows nothing. The test set
+/// is passed once, to [`LiveLoop::bootstrap`] or [`LiveLoop::restore`],
+/// which keep only its [`EvalSet`]. The target is passed to each call and
+/// must be the one the run was built with, so a host can keep the handle
+/// next to the target it tunes.
 #[derive(Debug)]
 pub struct LiveLoop {
     config: ActiveConfig,
     target_name: String,
     state: LoopState,
+    eval: EvalSet,
 }
 
 impl LiveLoop {
@@ -268,17 +273,22 @@ impl LiveLoop {
         test_labels: &[f64],
         seed: u64,
     ) -> Self {
+        config.validate();
+        let eval = EvalSet::new(test_features, test_labels, &config.alphas);
         Self {
             config: config.clone(),
             target_name: target.name().to_string(),
-            state: init_state(target, config, pool, test_features, test_labels, seed),
+            state: init_state(target, config, pool, &eval, seed),
+            eval,
         }
     }
 
     /// Rebuilds the run a checkpoint captured: re-encodes the training set
     /// and the remaining pool, restores all three RNG streams and refits the
     /// model exactly as the checkpointing run last did. This is the recovery
-    /// path, and the one place a checkpoint turns back into live state.
+    /// path, and the one place a checkpoint turns back into live state. The
+    /// test set must be the one the run was built with; only its
+    /// [`EvalSet`] is kept.
     ///
     /// Only [`RefitMode::FromScratch`] runs can be restored: the
     /// from-scratch model is a pure function of the training set and the
@@ -288,10 +298,16 @@ impl LiveLoop {
     /// Returns [`CheckpointError::Mismatch`] if the checkpoint belongs to a
     /// different target or configuration, or if `config.refit` is not
     /// [`RefitMode::FromScratch`].
+    ///
+    /// # Panics
+    /// Panics if the test set is empty, its features and labels differ in
+    /// length, or an α of `config` is outside `(0, 1]`.
     pub fn restore(
         target: &dyn TuningTarget,
         config: &ActiveConfig,
         checkpoint: &ActiveCheckpoint,
+        test_features: &FeatureMatrix,
+        test_labels: &[f64],
     ) -> Result<Self, CheckpointError> {
         check_resume_compat(target, config, checkpoint)?;
         let _span = pwu_obs::span(
@@ -306,26 +322,32 @@ impl LiveLoop {
             config: config.clone(),
             target_name: target.name().to_string(),
             state: state_from_checkpoint(target, config, checkpoint),
+            eval: EvalSet::new(test_features, test_labels, &config.alphas),
         })
     }
 
-    /// Approximate heap bytes the live state holds: the encoded pool and
-    /// training set with their configurations, and the fitted model.
+    /// Heap bytes the live state holds: the pool and training set, the
+    /// quarantined configurations, the fitted model, the history and
+    /// selection traces, and the [`EvalSet`], each counted at capacity with
+    /// the headers of the vectors it holds. Left out: small fixed parts
+    /// (the feature schema, the target name) and a partial-refit run's
+    /// pool-score cache.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        // Every configuration of a space has the same width.
-        let configs = |cfgs: &[Configuration]| {
-            let width = cfgs.first().map_or(0, Configuration::len);
-            cfgs.len() * (std::mem::size_of::<Configuration>() + 4 * width)
-        };
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
         let s = &self.state;
-        configs(s.pool.configs())
-            + s.pool.features().approx_bytes()
-            + configs(s.train.configs())
-            + s.train.features().approx_bytes()
-            + 8 * s.train.len()
-            + configs(&s.quarantined)
+        s.pool.approx_bytes()
+            + s.train.approx_bytes()
+            + vec(&s.quarantined)
+            + s.quarantined.iter().map(|c| 4 * c.len()).sum::<usize>()
             + s.model.approx_bytes()
+            + vec(&s.history)
+            + s.history.iter().map(|h| vec(&h.rmse)).sum::<usize>()
+            + vec(&s.selections)
+            + vec(&self.config.alphas)
+            + self.eval.approx_bytes()
     }
 
     /// Whether the run has reached `n_max` (or drained its pool).
@@ -343,26 +365,17 @@ impl LiveLoop {
     /// Panics where annotation itself panics (e.g. a NaN reading from a
     /// broken target). The handle is then partway through an iteration and
     /// must be dropped; rebuild it from the last checkpoint.
-    pub fn step(
-        &mut self,
-        target: &dyn TuningTarget,
-        strategy: Strategy,
-        test_features: &FeatureMatrix,
-        test_labels: &[f64],
-    ) -> f64 {
-        debug_assert_eq!(target.name(), self.target_name, "a live loop steps its own target");
+    pub fn step(&mut self, target: &dyn TuningTarget, strategy: Strategy) -> f64 {
+        debug_assert_eq!(
+            target.name(),
+            self.target_name,
+            "a live loop steps its own target"
+        );
         if self.is_done() {
             return 0.0;
         }
         let before = self.state.cost();
-        one_iteration(
-            target,
-            strategy,
-            &self.config,
-            &mut self.state,
-            test_features,
-            test_labels,
-        );
+        one_iteration(target, strategy, &self.config, &mut self.state, &self.eval);
         self.state.cost() - before
     }
 
@@ -442,7 +455,7 @@ pub fn run(
     seed: u64,
 ) -> ActiveRun {
     let live = LiveLoop::bootstrap(target, config, pool, test_features, test_labels, seed);
-    match drive(target, strategy, live, test_features, test_labels, None) {
+    match drive(target, strategy, live, None) {
         Ok(run) => run,
         // Without a checkpoint policy the loop performs no I/O.
         Err(e) => unreachable!("checkpoint-free run cannot fail: {e}"),
@@ -470,7 +483,7 @@ pub fn run_with_checkpoints(
     policy: &CheckpointPolicy,
 ) -> Result<ActiveRun, CheckpointError> {
     let live = LiveLoop::bootstrap(target, config, pool, test_features, test_labels, seed);
-    drive(target, strategy, live, test_features, test_labels, Some(policy))
+    drive(target, strategy, live, Some(policy))
 }
 
 /// Resumes a run from a checkpoint, continuing bit-identically to the run
@@ -493,8 +506,8 @@ pub fn resume(
     test_labels: &[f64],
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ActiveRun, CheckpointError> {
-    let live = LiveLoop::restore(target, config, checkpoint)?;
-    drive(target, strategy, live, test_features, test_labels, policy)
+    let live = LiveLoop::restore(target, config, checkpoint, test_features, test_labels)?;
+    drive(target, strategy, live, policy)
 }
 
 /// Verifies that `checkpoint` belongs to this target/configuration and that
@@ -670,7 +683,7 @@ pub fn step_once(
     test_features: &FeatureMatrix,
     test_labels: &[f64],
 ) -> Result<StepOutcome, CheckpointError> {
-    let mut live = LiveLoop::restore(target, config, checkpoint)?;
+    let mut live = LiveLoop::restore(target, config, checkpoint, test_features, test_labels)?;
     if live.is_done() {
         return Ok(StepOutcome {
             checkpoint: checkpoint.clone(),
@@ -678,7 +691,7 @@ pub fn step_once(
             step_cost: 0.0,
         });
     }
-    let step_cost = live.step(target, strategy, test_features, test_labels);
+    let step_cost = live.step(target, strategy);
     Ok(StepOutcome {
         checkpoint: live.checkpoint(),
         done: live.is_done(),
@@ -686,17 +699,16 @@ pub fn step_once(
     })
 }
 
-/// Validates inputs, removes illegal pool points, runs the cold start and
-/// fits the initial model — everything up to Algorithm 1's iteration phase.
+/// Removes illegal pool points, runs the cold start, fits the initial model
+/// and evaluates it — everything up to Algorithm 1's iteration phase.
+/// Callers must have validated `config`.
 fn init_state(
     target: &dyn TuningTarget,
     config: &ActiveConfig,
     mut pool: Pool,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
+    eval: &EvalSet,
     seed: u64,
 ) -> LoopState {
-    config.validate();
     let lint = PoolLintCounts::tally(target, pool.configs());
     let removed = pool.retain(|cfg| target.lint_config(cfg) != ConfigLegality::Illegal);
     debug_assert_eq!(removed, lint.illegal, "retain and tally must agree");
@@ -707,7 +719,6 @@ fn init_state(
         removed,
         config.n_max
     );
-    assert_eq!(test_features.n_rows(), test_labels.len());
 
     // Observability: the whole cold start (lint + sampling + initial fit)
     // is one span; args carry only deterministic quantities.
@@ -765,9 +776,7 @@ fn init_state(
         &model,
         &train,
         annotator.stats().wasted_cost,
-        test_features,
-        test_labels,
-        &config.alphas,
+        eval,
     );
     LoopState {
         schema,
@@ -793,14 +802,14 @@ fn drive(
     target: &dyn TuningTarget,
     strategy: Strategy,
     mut live: LiveLoop,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ActiveRun, CheckpointError> {
     while !live.is_done() {
-        live.step(target, strategy, test_features, test_labels);
+        live.step(target, strategy);
         if let Some(policy) = policy {
-            if live.state.iteration.is_multiple_of(policy.every) || live.is_done() {
+            let iteration = live.state.iteration;
+            if iteration.is_multiple_of(policy.every) || live.is_done() {
+                let _span = pwu_obs::span("core.persist", [("iter", pwu_obs::Arg::u(iteration))]);
                 live.checkpoint().save_atomic(&policy.path)?;
             }
         }
@@ -817,8 +826,7 @@ fn one_iteration(
     strategy: Strategy,
     config: &ActiveConfig,
     state: &mut LoopState,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
+    eval: &EvalSet,
 ) {
     state.iteration += 1;
     // Observability: one span per iteration, one per loop stage
@@ -941,31 +949,22 @@ fn one_iteration(
             &state.model,
             &state.train,
             state.annotator.stats.wasted_cost,
-            test_features,
-            test_labels,
-            &config.alphas,
+            eval,
         );
     }
 }
 
+/// Appends a test-set evaluation of `model` (RMSE@α at every α, from the
+/// [`EvalSet`]'s rows) and the cost so far to `history`.
 fn record(
     history: &mut Vec<Snapshot>,
     model: &RandomForest,
     train: &LabeledSet,
     wasted_cost: f64,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
-    alphas: &[f64],
+    eval: &EvalSet,
 ) {
-    let _s = pwu_obs::span(
-        "core.eval",
-        [("n_test", pwu_obs::Arg::u(test_labels.len() as u64))],
-    );
-    let preds = model.predict_batch_mean(test_features);
-    let rmse = alphas
-        .iter()
-        .map(|&a| rmse_at_alpha(test_labels, &preds, a))
-        .collect();
+    let _s = pwu_obs::span("core.eval", [("rows", pwu_obs::Arg::u(eval.rows() as u64))]);
+    let rmse = eval.rmse(model);
     // Wasted wall-clock (failed runs, backoff) is real annotation cost:
     // charge it alongside the labeled measurement time. Zero — and
     // bit-neutral — when no faults fire.
@@ -1310,7 +1309,7 @@ mod tests {
         let mut steps = 0;
         while !live.is_done() {
             let out = step_once(&target, strategy, &cfg, &cp, &tf, &tl).unwrap();
-            let cost = live.step(&target, strategy, &tf, &tl);
+            let cost = live.step(&target, strategy);
             assert_eq!(cost.to_bits(), out.step_cost.to_bits());
             assert_eq!(live.is_done(), out.done);
             cp = out.checkpoint;
@@ -1318,13 +1317,13 @@ mod tests {
             steps += 1;
             // Dropping the handle mid-run and restoring it is invisible.
             if steps == 7 {
-                live = LiveLoop::restore(&target, &cfg, &cp).unwrap();
+                live = LiveLoop::restore(&target, &cfg, &cp, &tf, &tl).unwrap();
                 assert_eq!(live.checkpoint(), cp);
             }
         }
         assert_eq!(steps, 25);
         // A finished handle steps as a free no-op.
-        assert_eq!(live.step(&target, strategy, &tf, &tl), 0.0);
+        assert_eq!(live.step(&target, strategy), 0.0);
         assert_eq!(live.checkpoint(), cp);
     }
 

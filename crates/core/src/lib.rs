@@ -44,6 +44,6 @@ pub use checkpoint::{
     CheckpointPolicy, EncodedCheckpoint, GenerationStore, Recovered,
 };
 pub use experiment::{ExperimentResult, Protocol, StrategyCurve};
-pub use metrics::{cost_to_reach, rmse_at_alpha};
+pub use metrics::{cost_to_reach, rmse_at_alpha, EvalSet};
 pub use score::PoolScoreCache;
 pub use strategy::Strategy;

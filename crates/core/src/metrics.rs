@@ -1,6 +1,41 @@
 //! Evaluation metrics (Section III-C of the paper).
 
+use pwu_forest::RandomForest;
+use pwu_space::FeatureMatrix;
 use pwu_stats::argsort_by;
+
+/// The elite slice of Eq. 2: the indices of the `m` smallest observed
+/// times, in the stable ascending order RMSE@α sums them in.
+/// [`rmse_at_alpha`] and [`EvalSet`] both take their rows from here, so
+/// the slice is defined once.
+///
+/// # Panics
+/// Panics if `observed` is empty.
+fn elite(observed: &[f64], m: usize) -> Vec<usize> {
+    assert!(!observed.is_empty(), "RMSE@α needs a nonempty test set");
+    let mut order = argsort_by(observed, |&y| y);
+    order.truncate(m);
+    order
+}
+
+/// The elite slice's length at `alpha`: `⌊n·α⌋`, at least one sample.
+fn elite_len(n: usize, alpha: f64) -> usize {
+    assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0,1]");
+    ((n as f64 * alpha).floor() as usize).max(1)
+}
+
+/// Root mean squared error over `(observed, predicted)` pairs, summed in
+/// iteration order.
+fn rmse(pairs: impl ExactSizeIterator<Item = (f64, f64)>) -> f64 {
+    let m = pairs.len();
+    let sse: f64 = pairs
+        .map(|(y, p)| {
+            let d = y - p;
+            d * d
+        })
+        .sum();
+    (sse / m as f64).sqrt()
+}
 
 /// RMSE over the top `⌊n·α⌋` *observed*-performance test samples (Eq. 2).
 ///
@@ -14,17 +49,85 @@ use pwu_stats::argsort_by;
 #[must_use]
 pub fn rmse_at_alpha(observed: &[f64], predicted: &[f64], alpha: f64) -> f64 {
     assert_eq!(observed.len(), predicted.len(), "length mismatch");
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0,1]");
-    let m = ((observed.len() as f64 * alpha).floor() as usize).max(1);
-    let order = argsort_by(observed, |&y| y);
-    let sse: f64 = order[..m]
-        .iter()
-        .map(|&i| {
-            let d = observed[i] - predicted[i];
-            d * d
-        })
-        .sum();
-    (sse / m as f64).sqrt()
+    let m = elite_len(observed.len(), alpha);
+    rmse(
+        elite(observed, m)
+            .iter()
+            .map(|&i| (observed[i], predicted[i])),
+    )
+}
+
+/// The part of a test set RMSE@α reads, built once per run.
+///
+/// Eq. 2 reads only the `⌊n·α⌋` test samples with the lowest observed
+/// time, so an `EvalSet` keeps just the elite slice at the largest α —
+/// features and labels, in the order [`rmse_at_alpha`] visits them — and
+/// every smaller α's slice is a prefix of it. [`EvalSet::rmse`] predicts
+/// only those rows. Its values are bit-identical to [`rmse_at_alpha`]
+/// over a prediction of the whole test set: a row's prediction does not
+/// depend on the other rows in the batch, and the squared errors are
+/// summed over the same samples in the same order.
+#[derive(Debug, Clone)]
+pub struct EvalSet {
+    /// The elite rows, best observed time first.
+    features: FeatureMatrix,
+    labels: Vec<f64>,
+    /// Per α, how many leading rows its slice reads.
+    lens: Vec<usize>,
+}
+
+impl EvalSet {
+    /// Keeps the rows of `(test_features, test_labels)` that RMSE@α reads
+    /// at any of `alphas`.
+    ///
+    /// # Panics
+    /// Panics if the lengths mismatch, the test set or `alphas` is empty,
+    /// or an α is outside `(0, 1]`.
+    #[must_use]
+    pub fn new(test_features: &FeatureMatrix, test_labels: &[f64], alphas: &[f64]) -> Self {
+        assert_eq!(test_features.n_rows(), test_labels.len(), "length mismatch");
+        let lens: Vec<usize> = alphas
+            .iter()
+            .map(|&a| elite_len(test_labels.len(), a))
+            .collect();
+        let widest = *lens.iter().max().expect("need at least one alpha");
+        let rows = elite(test_labels, widest);
+        Self {
+            features: test_features.select_rows(&rows),
+            labels: rows.iter().map(|&i| test_labels[i]).collect(),
+            lens,
+        }
+    }
+
+    /// How many rows [`EvalSet::rmse`] predicts.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// RMSE@α of `model` at every α the set was built for, in order, from
+    /// one batch prediction of the kept rows.
+    #[must_use]
+    pub fn rmse(&self, model: &RandomForest) -> Vec<f64> {
+        let preds = model.predict_batch_mean(&self.features);
+        self.lens
+            .iter()
+            .map(|&m| {
+                rmse(
+                    self.labels[..m]
+                        .iter()
+                        .copied()
+                        .zip(preds[..m].iter().copied()),
+                )
+            })
+            .collect()
+    }
+
+    /// Heap bytes the set holds.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.features.approx_bytes() + 8 * self.labels.capacity() + 8 * self.lens.capacity()
+    }
 }
 
 /// The cumulative cost (Eq. 3) needed to first reach an RMSE at or below

@@ -5,10 +5,12 @@
 //! predicted execution time*, so "top of the predicted performance ranking"
 //! is ascending μ.
 
+use std::cmp::Ordering;
+
 use rand::Rng;
 
 use pwu_forest::forest::Prediction;
-use pwu_stats::{argsort_by, Xoshiro256PlusPlus};
+use pwu_stats::Xoshiro256PlusPlus;
 
 /// A pool-based sampling strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,11 +118,7 @@ impl Strategy {
                 keep.truncate(n_batch);
                 keep
             }
-            Strategy::BestPerf => {
-                let mut idx = argsort_by(preds, |p| p.mean);
-                idx.truncate(n_batch);
-                idx
-            }
+            Strategy::BestPerf => lowest_mean(preds, n_batch),
             Strategy::MaxU => {
                 let scores: Vec<f64> = preds.iter().map(|p| p.std).collect();
                 top_desc(&scores, n_batch)
@@ -164,17 +162,49 @@ pub fn pwu_scores(preds: &[Prediction], alpha: f64) -> Vec<f64> {
         .collect()
 }
 
+/// The first `k` (at least one) of the indices `0..n` in the order of
+/// `cmp`, which must be a strict total order (distinct indices never
+/// compare equal), so the sorted order and therefore its prefix are
+/// unique. A partial selection and a sort of the `k` kept cost
+/// O(n + k log k) instead of sorting all `n` — a selection step keeps one
+/// or a few of thousands of candidates.
+fn ordered_prefix(n: usize, k: usize, cmp: impl Fn(&usize, &usize) -> Ordering) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    let k = k.min(n);
+    if k < n {
+        idx.select_nth_unstable_by(k - 1, &cmp);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(cmp);
+    idx
+}
+
 /// Indices of the `k` largest scores, descending, with NaN scores ranked
 /// last so a degenerate model degrades the selection instead of leading it.
+///
+/// This is the prefix of a stable ascending IEEE-total-order sort, reversed
+/// (so ties go to the higher index), with the leading run of NaNs rotated
+/// to the end: when any score is not NaN, that run is exactly the +NaNs
+/// (total order puts them above +∞, and −NaNs below −∞, so −NaNs already
+/// trail); when every score is NaN the rotation is a no-op.
 fn top_desc(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut idx = argsort_by(scores, |&s| s);
-    idx.reverse();
-    // `argsort_by` uses the IEEE total order, which sorts NaN after +∞;
-    // reversing put those entries first. Rotate them back to the end.
-    let n_nan = idx.iter().take_while(|&&i| scores[i].is_nan()).count();
-    idx.rotate_left(n_nan);
-    idx.truncate(k);
-    idx
+    let rotate = scores.iter().any(|s| !s.is_nan());
+    let trails = |s: f64| rotate && s.is_nan() && s.is_sign_positive();
+    ordered_prefix(scores.len(), k, |&a, &b| {
+        let (sa, sb) = (scores[a], scores[b]);
+        trails(sa)
+            .cmp(&trails(sb))
+            .then(sb.total_cmp(&sa))
+            .then(b.cmp(&a))
+    })
+}
+
+/// Indices of the `k` smallest predicted means, ascending in IEEE total
+/// order, ties by index (a stable sort's prefix).
+fn lowest_mean(preds: &[Prediction], k: usize) -> Vec<usize> {
+    ordered_prefix(preds.len(), k, |&a, &b| {
+        preds[a].mean.total_cmp(&preds[b].mean).then(a.cmp(&b))
+    })
 }
 
 /// The predicted top `fraction` of the pool (at least `n_batch` entries).
@@ -186,17 +216,87 @@ fn biased_subset(preds: &[Prediction], fraction: f64, n_batch: usize) -> Vec<usi
     let keep = ((preds.len() as f64 * fraction).ceil() as usize)
         .max(n_batch)
         .min(preds.len());
-    let mut idx = argsort_by(preds, |p| p.mean);
-    idx.truncate(keep);
-    idx
+    lowest_mean(preds, keep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert, proptest};
+    use proptest::strategy::Strategy as _;
+    use pwu_stats::argsort_by;
 
     fn pred(mean: f64, std: f64) -> Prediction {
         Prediction { mean, std }
+    }
+
+    /// The whole-pool sort `top_desc` replaced: the oracle it must match.
+    fn top_desc_by_sort(scores: &[f64], k: usize) -> Vec<usize> {
+        let mut idx = argsort_by(scores, |&s| s);
+        idx.reverse();
+        let n_nan = idx.iter().take_while(|&&i| scores[i].is_nan()).count();
+        idx.rotate_left(n_nan);
+        idx.truncate(k);
+        idx
+    }
+
+    /// The whole-pool sort `lowest_mean` replaced.
+    fn lowest_mean_by_sort(preds: &[Prediction], k: usize) -> Vec<usize> {
+        let mut idx = argsort_by(preds, |p| p.mean);
+        idx.truncate(k);
+        idx
+    }
+
+    /// Scores drawn from a small palette (heavy ties, ±0, ±∞, NaNs of both
+    /// signs and two payloads) or from a continuous range.
+    fn arb_score() -> impl proptest::strategy::Strategy<Value = f64> {
+        let palette = [
+            1.0,
+            2.0,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() | 1),
+            -f64::from_bits(f64::NAN.to_bits() | 1),
+        ];
+        // Three draws in four come from the palette.
+        (0..palette.len() * 4 / 3, -1e3f64..1e3)
+            .prop_map(move |(i, x)| palette.get(i).copied().unwrap_or(x))
+    }
+
+    #[test]
+    fn partial_selection_matches_the_sorted_prefix_when_every_score_is_nan() {
+        let nan1 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let scores = [f64::NAN, -f64::NAN, nan1, -nan1, f64::NAN, -f64::NAN];
+        for k in 1..=scores.len() {
+            assert_eq!(top_desc(&scores, k), top_desc_by_sort(&scores, k));
+        }
+    }
+
+    proptest! {
+        /// The partial selection returns exactly the prefix the whole-pool
+        /// sort did, in the same order, at every batch size a step asks for.
+        #[test]
+        fn partial_selection_matches_the_sorted_prefix(
+            scores in prop::collection::vec(arb_score(), 1..200),
+            stds in prop::collection::vec(arb_score(), 200),
+        ) {
+            let n = scores.len();
+            let preds: Vec<Prediction> =
+                scores.iter().zip(&stds).map(|(&mean, &std)| pred(mean, std)).collect();
+            for k in [1, 2, n.div_ceil(10), n] {
+                let want = top_desc_by_sort(&scores, k);
+                let got = top_desc(&scores, k);
+                prop_assert!(got == want, "top_desc k={}: {:?} vs {:?}", k, got, want);
+                let want = lowest_mean_by_sort(&preds, k);
+                let got = lowest_mean(&preds, k);
+                prop_assert!(got == want, "lowest_mean k={}: {:?} vs {:?}", k, got, want);
+            }
+        }
     }
 
     #[test]

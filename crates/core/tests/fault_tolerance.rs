@@ -383,7 +383,7 @@ fn live_loop_under_stress_faults_matches_the_step_once_chain() {
             &test_labels,
         )
         .unwrap();
-        let cost = live.step(&kernel, strategy, &test_features, &test_labels);
+        let cost = live.step(&kernel, strategy);
         topped_up |= out.checkpoint.quarantined.len() > checkpoint.quarantined.len();
         checkpoint = out.checkpoint;
         assert_eq!(cost.to_bits(), out.step_cost.to_bits());

@@ -673,16 +673,18 @@ pub(crate) struct FlatForest {
 }
 
 impl FlatForest {
-    /// Approximate heap bytes held by the compiled trees.
+    /// Heap bytes held by the compiled trees and their list.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.trees
-            .iter()
-            .map(|t| {
-                t.nodes.capacity() * std::mem::size_of::<FlatNode>()
-                    + t.num.capacity() * std::mem::size_of::<NumNode>()
-                    + (t.mean.capacity() + t.second.capacity()) * 8
-            })
-            .sum()
+        self.trees.capacity() * std::mem::size_of::<FlatTree>()
+            + self
+                .trees
+                .iter()
+                .map(|t| {
+                    t.nodes.capacity() * std::mem::size_of::<FlatNode>()
+                        + t.num.capacity() * std::mem::size_of::<NumNode>()
+                        + (t.mean.capacity() + t.second.capacity()) * 8
+                })
+                .sum::<usize>()
     }
 
     /// Compiles every tree of a fitted ensemble.

@@ -113,7 +113,9 @@ impl RandomForest {
                     Some(ctx) => {
                         crate::fast::fit_tree_fast(x, y, &rows, config, &mut rng, &ranks, ctx)
                     }
-                    None => RegressionTree::fit_ranked(x, y, &rows, kinds, config, &mut rng, &ranks),
+                    None => {
+                        RegressionTree::fit_ranked(x, y, &rows, kinds, config, &mut rng, &ranks)
+                    }
                 };
                 (tree, oob)
             })
@@ -425,12 +427,22 @@ impl RandomForest {
         &self.trees
     }
 
-    /// Approximate heap bytes the fitted model holds: tree arenas,
-    /// out-of-bag rows and the flat predict layout.
+    /// Heap bytes the fitted model holds: tree arenas, out-of-bag rows and
+    /// the flat predict layout, with the headers of their per-tree lists.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let trees: usize = self.trees.iter().map(RegressionTree::approx_bytes).sum();
-        let oob: usize = self.oob_rows.iter().map(|r| r.capacity() * 4).sum();
+        let trees = self.trees.capacity() * std::mem::size_of::<RegressionTree>()
+            + self
+                .trees
+                .iter()
+                .map(RegressionTree::approx_bytes)
+                .sum::<usize>();
+        let oob = self.oob_rows.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self
+                .oob_rows
+                .iter()
+                .map(|r| r.capacity() * 4)
+                .sum::<usize>();
         trees + oob + self.flat.approx_bytes()
     }
 

@@ -20,12 +20,13 @@
 //! busts its deadline commits nothing.
 //!
 //! While resident, a session also keeps the run in flight: a
-//! [`LiveLoop`] (model, encoded pool, training set, RNG streams) and the
-//! materialized test set, so a step costs one loop iteration plus one
+//! [`LiveLoop`] (model, encoded pool, training set, RNG streams, and the
+//! test rows RMSE@α reads), so a step costs one loop iteration plus one
 //! checkpoint write. Between steps the live loop always equals the committed
 //! checkpoint. It is built at create, rebuilt from the checkpoint by the
 //! first step after a resume, and dropped on suspend and on any step that
-//! does not commit, so uncommitted state is never reused.
+//! does not commit, so uncommitted state is never reused. The materialized
+//! test set is dropped once the live loop has taken its elite rows.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -281,8 +282,9 @@ impl SessionSpec {
         if self.repeats == 0 || self.n_trees == 0 {
             return Err(bad("repeats and n_trees must be positive"));
         }
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err(bad("alpha must be in [0, 1]"));
+        // RMSE@α reads ⌊n·α⌋ test rows, at least one: α = 0 has no slice.
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err(bad("alpha must be in (0, 1]"));
         }
         Ok(())
     }
@@ -414,6 +416,8 @@ impl SessionSpec {
             .space()
             .sample_distinct(self.pool_n + self.test_n, &mut rng);
         let test_cfgs = pool_cfgs.split_off(self.pool_n);
+        // The pool lives as long as the session: drop the test half's room.
+        pool_cfgs.shrink_to_fit();
         (pool_cfgs, test_cfgs)
     }
 }
@@ -439,38 +443,25 @@ pub struct StepReport {
     pub state: SessionState,
 }
 
-/// What a resident session keeps between steps: the run in flight, always
-/// equal to the committed checkpoint, and the test set it evaluates on.
-#[derive(Debug)]
-struct Resident {
-    live: LiveLoop,
-    test_features: FeatureMatrix,
-    test_labels: Vec<f64>,
-}
-
-impl Resident {
-    /// Rebuilds the run a committed checkpoint describes: restore the live
-    /// loop (re-encode, replay fit) and re-materialize the test set.
-    fn restore(
-        spec: &SessionSpec,
-        target: &dyn TuningTarget,
-        checkpoint: &ActiveCheckpoint,
-    ) -> Result<Self, CheckpointError> {
-        let live = LiveLoop::restore(target, &spec.active_config(), checkpoint)?;
-        let (test_features, test_labels) = {
-            let _span = materialize_span(0, spec.test_n);
-            spec.test_set(target)
-        };
-        Ok(Self {
-            live,
-            test_features,
-            test_labels,
-        })
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.live.approx_bytes() + self.test_features.approx_bytes() + 8 * self.test_labels.capacity()
-    }
+/// Rebuilds the run a committed checkpoint describes: re-materialize the
+/// test set and restore the live loop (re-encode, replay fit), which keeps
+/// only the test rows it evaluates on.
+fn restore_live(
+    spec: &SessionSpec,
+    target: &dyn TuningTarget,
+    checkpoint: &ActiveCheckpoint,
+) -> Result<LiveLoop, CheckpointError> {
+    let (test_features, test_labels) = {
+        let _span = materialize_span(0, spec.test_n);
+        spec.test_set(target)
+    };
+    LiveLoop::restore(
+        target,
+        &spec.active_config(),
+        checkpoint,
+        &test_features,
+        &test_labels,
+    )
 }
 
 /// The span around (re)building a session's pool and test set.
@@ -508,9 +499,10 @@ pub struct Session {
     /// The committed checkpoint and the FNV-1a digest of its text, taken
     /// from the bytes that were persisted; `None` while suspended/unloaded.
     checkpoint: Option<(ActiveCheckpoint, u64)>,
-    /// The run in flight while resident; `None` until the first step after
-    /// a resume, after suspend and after any step that did not commit.
-    resident: Option<Resident>,
+    /// The run in flight while resident, always equal to the committed
+    /// checkpoint; `None` until the first step after a resume, after
+    /// suspend and after any step that did not commit.
+    resident: Option<LiveLoop>,
     state: SessionState,
     /// Consecutive over-budget step attempts.
     strikes: usize,
@@ -524,7 +516,7 @@ const META_FILE: &str = "meta.pwu";
 impl Session {
     /// Creates a brand-new session under `dir`: runs the cold start, writes
     /// `meta.pwu` and persists generation 0. The session comes up resident,
-    /// its live loop and test set ready for the first step.
+    /// its live loop ready for the first step.
     ///
     /// # Errors
     /// Returns a typed error for bad specs and an [`ErrorKind::Internal`]
@@ -570,11 +562,7 @@ impl Session {
             target,
             store,
             checkpoint: Some((checkpoint, digest)),
-            resident: Some(Resident {
-                live,
-                test_features,
-                test_labels,
-            }),
+            resident: Some(live),
             state: SessionState::Active,
             strikes: 0,
             generation,
@@ -633,18 +621,18 @@ impl Session {
         self.checkpoint.is_some()
     }
 
-    /// Approximate heap bytes of the live state (live loop and test set);
-    /// 0 when the session holds none.
+    /// Heap bytes of the live state (see [`LiveLoop::approx_bytes`]); 0
+    /// when the session holds none.
     #[must_use]
     pub fn live_bytes(&self) -> usize {
-        self.resident.as_ref().map_or(0, Resident::approx_bytes)
+        self.resident.as_ref().map_or(0, LiveLoop::approx_bytes)
     }
 
     /// Drops the live state and returns the bytes it held. The committed
     /// checkpoint stays loaded, and the next step rebuilds the live state
     /// from it, bit-identically.
     pub fn shed_live(&mut self) -> usize {
-        self.resident.take().map_or(0, |r| r.approx_bytes())
+        self.resident.take().map_or(0, |live| live.approx_bytes())
     }
 
     /// The newest durable generation number.
@@ -686,7 +674,7 @@ impl Session {
     /// Resumes the session from its last durable generation (also clears a
     /// degraded session's strikes — resume is the recovery path). Returns
     /// how many damaged generations were rolled back. Stays lazy: the live
-    /// loop and test set are rebuilt by the next step, not here.
+    /// loop is rebuilt by the next step, not here.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when no generation survives
@@ -776,19 +764,14 @@ impl Session {
         let resident = self.resident.take();
         let (spec, target) = (&self.spec, self.target.as_target());
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut resident = match resident {
-                Some(r) => r,
-                None => Resident::restore(spec, target, checkpoint)?,
+            let mut live = match resident {
+                Some(live) => live,
+                None => restore_live(spec, target, checkpoint)?,
             };
-            let step_cost = resident.live.step(
-                target,
-                spec.strategy,
-                &resident.test_features,
-                &resident.test_labels,
-            );
-            Ok::<_, CheckpointError>((resident, step_cost))
+            let step_cost = live.step(target, spec.strategy);
+            Ok::<_, CheckpointError>((live, step_cost))
         }));
-        let (resident, step_cost) = match attempt {
+        let (live, step_cost) = match attempt {
             Ok(Ok(stepped)) => stepped,
             Ok(Err(e)) => {
                 // A mismatch between spec and checkpoint means the durable
@@ -828,8 +811,8 @@ impl Session {
             });
         }
         self.strikes = 0;
-        let done = resident.live.is_done();
-        let checkpoint = resident.live.checkpoint();
+        let done = live.is_done();
+        let checkpoint = live.checkpoint();
         let (generation, digest) = persist(&self.store, &checkpoint)?;
         self.generation = generation;
         self.checkpoint = Some((checkpoint, digest));
@@ -837,7 +820,7 @@ impl Session {
             // A finished run never steps again: free its live state.
             self.state = SessionState::Done;
         } else {
-            self.resident = Some(resident);
+            self.resident = Some(live);
         }
         Ok(StepReport {
             committed: true,
@@ -939,6 +922,7 @@ mod tests {
             SessionSpec { pool_n: 10, ..ok.clone() },
             SessionSpec { test_n: 0, ..ok.clone() },
             SessionSpec { alpha: 1.5, ..ok.clone() },
+            SessionSpec { alpha: 0.0, ..ok.clone() },
         ] {
             assert_eq!(broken.validate().unwrap_err().kind, ErrorKind::BadRequest);
         }
@@ -979,9 +963,26 @@ mod tests {
         assert!(session.step(&WatchdogPolicy::default()).unwrap().committed);
         assert_eq!(session.digest().as_ref(), Some(&reference[0]));
         let (generation, digest) = (session.generation(), session.digest());
-        // Poison the live test set: the next evaluation panics after the
-        // iteration has already selected, measured and refit.
-        session.resident.as_mut().unwrap().test_labels.pop();
+        // Poison the live loop: rebuild it from the committed checkpoint on
+        // a test set one column narrower than the forest, so the next
+        // evaluation panics after the iteration has already selected,
+        // measured and refit.
+        let (test_features, test_labels) = session.spec.test_set(session.target.as_target());
+        let narrow: Vec<Vec<f64>> = test_features
+            .to_rows()
+            .into_iter()
+            .map(|r| r[1..].to_vec())
+            .collect();
+        let narrow = FeatureMatrix::from_rows(test_features.n_cols() - 1, &narrow);
+        let (checkpoint, _) = session.checkpoint.as_ref().unwrap();
+        let poisoned = LiveLoop::restore(
+            session.target.as_target(),
+            &session.spec.active_config(),
+            checkpoint,
+            &narrow,
+            &test_labels,
+        );
+        session.resident = Some(poisoned.unwrap());
         let err = session.step(&WatchdogPolicy::default()).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Degraded);
         assert_eq!(session.state(), SessionState::Degraded);

@@ -41,6 +41,11 @@ impl Configuration {
         self.levels.len()
     }
 
+    /// Heap bytes held by the level indices.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.levels.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// True when the configuration has no parameters.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -60,10 +60,11 @@ impl FeatureMatrix {
         self.cols.len()
     }
 
-    /// Approximate heap bytes held by the feature values.
+    /// Heap bytes held: the feature values and the column headers.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.cols.iter().map(|c| c.capacity() * 8).sum()
+        self.cols.capacity() * std::mem::size_of::<Vec<f64>>()
+            + self.cols.iter().map(|c| c.capacity() * 8).sum::<usize>()
     }
 
     /// True when the matrix holds no rows.
@@ -123,6 +124,22 @@ impl FeatureMatrix {
     pub fn row(&self, i: usize) -> Vec<f64> {
         assert!(i < self.n_rows, "row {i} out of range ({})", self.n_rows);
         self.cols.iter().map(|c| c[i]).collect()
+    }
+
+    /// A new matrix holding rows `rows` of this one, in that order.
+    ///
+    /// # Panics
+    /// Panics if a row index is out of range.
+    #[must_use]
+    pub fn select_rows(&self, rows: &[usize]) -> Self {
+        Self {
+            cols: self
+                .cols
+                .iter()
+                .map(|c| rows.iter().map(|&i| c[i]).collect())
+                .collect(),
+            n_rows: rows.len(),
+        }
     }
 
     /// Keeps only the rows whose `kept` flag is true, preserving order, and
@@ -198,6 +215,14 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(m.n_rows(), 2);
         assert_eq!(m.to_rows(), vec![vec![1.0, 10.0], vec![3.0, 30.0]]);
+    }
+
+    #[test]
+    fn select_rows_gathers_in_the_given_order() {
+        let m = sample();
+        let s = m.select_rows(&[2, 0]);
+        assert_eq!(s.to_rows(), vec![vec![3.0, 30.0], vec![1.0, 10.0]]);
+        assert_eq!(m.select_rows(&[]).n_cols(), 2);
     }
 
     #[test]

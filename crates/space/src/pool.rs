@@ -19,6 +19,13 @@ use crate::space::ParamSpace;
 
 use pwu_stats::Xoshiro256PlusPlus;
 
+/// Heap bytes of a configuration list: the list and each configuration's
+/// levels.
+fn configs_bytes(configs: &Vec<Configuration>) -> usize {
+    configs.capacity() * std::mem::size_of::<Configuration>()
+        + configs.iter().map(Configuration::heap_bytes).sum::<usize>()
+}
+
 /// An unlabeled candidate pool with pre-encoded features.
 #[derive(Debug, Clone)]
 pub struct Pool {
@@ -56,6 +63,12 @@ impl Pool {
     #[must_use]
     pub fn features(&self) -> &FeatureMatrix {
         &self.features
+    }
+
+    /// Heap bytes held: the configurations and the encoded features.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        configs_bytes(&self.configs) + self.features.approx_bytes()
     }
 
     /// Removes and returns the candidates at the given indices.
@@ -155,6 +168,13 @@ impl LabeledSet {
             features,
             labels,
         }
+    }
+
+    /// Heap bytes held: the configurations, the encoded features and the
+    /// labels.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        configs_bytes(&self.configs) + self.features.approx_bytes() + 8 * self.labels.capacity()
     }
 
     /// Appends one labeled observation.
